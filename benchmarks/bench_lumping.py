@@ -12,11 +12,9 @@ per machine, ``k = 1``) at three lumping levels:
 For every configuration and level the benchmark records states, generation
 and solve seconds, availability and expected running VMs, and **asserts**
 agreement on both measures — the lumping is exact, only the state count
-changes.  Pairs of chains small enough for the exact direct/GTH solvers
-must agree to < 1e-12; pairs involving a chain above the automatic
-iterative-solver threshold get a relaxed 1e-9 bound, because the residual
-of the converged GMRES solve (rtol 1e-12) then dominates the comparison,
-not the lumping.  At N = 3 the DC+PM chain must be ≥ 4x smaller than the
+changes.  Every level is solved by the one residual-certified
+stationary-solve policy (``solvers.steady_state(method="auto")``), so every
+pair must agree to < 1e-12, whatever its state counts.  At N = 3 the DC+PM chain must be ≥ 4x smaller than the
 PM-only chain, and the N = 5 mesh must solve within the
 ``max_states = 500_000`` exploration limit (its DC+PM chain is ~50x
 smaller than the unlumped one).
@@ -42,16 +40,8 @@ from repro.core.vm_behavior import vm_up_place
 from repro.spn.reachability import generate_tangible_reachability_graph
 from repro.symmetry import build_canonicalizer
 
-#: Agreement tolerance between lumping levels (per measure) when both
-#: chains are small enough for the exact direct/GTH solvers.
+#: Agreement tolerance between lumping levels (per measure).
 MAX_DELTA = 1e-12
-
-#: ``solvers.steady_state(method="auto")`` switches to ILU-preconditioned
-#: GMRES above this many states; agreement across solver families is then
-#: bounded by the iterative convergence tolerance, not by the lumping
-#: (which stays exact), so those pairs get a relaxed bound.
-DIRECT_SOLVER_LIMIT = 20_000
-ITERATIVE_DELTA = 1e-9
 
 #: Required DC+PM shrink over PM-only at the N = 3 mesh.
 N3_SHRINK_FLOOR = 4.0
@@ -138,15 +128,13 @@ def measure_configuration(datacenters: int, machines: int, levels, solve=()) -> 
     solved_rows = [row for row in rows if row["availability"] is not None]
     deltas = []
     for reference, row in itertools.combinations(solved_rows, 2):
-        exact_pair = max(row["states"], reference["states"]) <= DIRECT_SOLVER_LIMIT
-        bound = MAX_DELTA if exact_pair else ITERATIVE_DELTA
         for measure in ("availability", "expected_vms"):
             delta = abs(row[measure] - reference[measure])
             deltas.append(delta)
-            if delta >= bound:
+            if delta >= MAX_DELTA:
                 raise AssertionError(
                     f"N={datacenters} {row['level']} {measure} deviates from "
-                    f"{reference['level']} by {delta:.2e} (>= {bound:.0e})"
+                    f"{reference['level']} by {delta:.2e} (>= {MAX_DELTA:.0e})"
                 )
     return {
         "datacenters": datacenters,
@@ -161,7 +149,7 @@ def run(quick: bool) -> int:
     configurations = [
         # (N, machines/DC, levels, levels-to-solve): quick is the CI smoke —
         # it keeps the three-way delta check at N = 2, measures the N = 3
-        # shrink by generation only (the 13k-state PM solve alone takes
+        # shrink by generation only (the 44k-state unlumped solve takes
         # minutes), and skips N = 5 entirely.
         (2, 2, LEVELS, ()),
         (3, 2, ("pm", "dc+pm"), ("dc+pm",)) if quick else (3, 2, LEVELS, ()),

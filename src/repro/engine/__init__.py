@@ -52,7 +52,6 @@ from repro.engine.dispatch import (
 )
 from repro.engine.krylov import (
     KrylovConvergenceError,
-    KrylovSettings,
     MatrixFreeSolver,
     ReusableSolver,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "RetryPolicy",
     "TaskWatchdog",
     "KrylovConvergenceError",
-    "KrylovSettings",
     "MatrixFreeSolver",
     "ReusableSolver",
     "RewardMatrix",

@@ -52,7 +52,7 @@ import numpy as np
 from repro.engine import dispatch
 from repro.engine.cache import TRGCache
 from repro.engine.dispatch import CostObservations, DispatchDecision
-from repro.engine.krylov import KrylovSettings, MatrixFreeSolver, ReusableSolver
+from repro.engine.krylov import MatrixFreeSolver, ReusableSolver
 from repro.engine.measures import RewardMatrix, UnsupportedMeasure
 from repro.engine.parallel import (
     SharedMemoryUnavailable,
@@ -92,6 +92,10 @@ BACKENDS = ("auto", "serial", "thread", "process")
 #: of contiguous sweep order, so arbitrarily long sweeps run in bounded
 #: memory instead of materialising one enormous block.
 MAX_SOLUTION_BLOCK_BYTES = 2 << 30
+
+#: Smallest chain the process backend serves: below it a solve costs less
+#: than shipping it to a worker process.  A dispatch rule, not a solver one.
+MIN_PROCESS_STATES = 200
 
 
 @dataclass(frozen=True)
@@ -219,11 +223,12 @@ class ScenarioBatchEngine:
         net: the net whose structure every scenario shares — a declarative
             net, a compiled net, or an already-generated reachability graph
             (reused as-is).
-        method: stationary solver selection; ``"auto"`` picks GTH for tiny
-            chains, the symbolically-reused direct solve up to
-            ``direct_threshold`` states and preconditioner-reusing GMRES
-            beyond.  Any other value bypasses the reuse machinery and
-            delegates to :func:`repro.markov.solvers.steady_state`.
+        method: stationary solver selection; ``"auto"`` walks the
+            :mod:`~repro.markov.solvers` policy's ladder on the
+            symbolically reused system, keeping the ILU factor and the
+            stationary vector of one sweep point for the next.  Any other
+            value bypasses the reuse machinery and delegates to
+            :func:`repro.markov.solvers.steady_state`.
         max_states: tangible state-space limit for the one-off generation.
         canonicalize: optional marking canonicalizer (symmetry lumping)
             forwarded to the reachability generator.
@@ -247,17 +252,6 @@ class ScenarioBatchEngine:
         cache: Optional["TRGCache"] = None,
         canonicalize_id: Optional[str] = None,
         representation: Optional[str] = None,
-        gth_threshold: int = 200,
-        direct_threshold: int = 20_000,
-        ilu_drop_tolerance: float = 1e-6,
-        ilu_fill_factor: float = 20.0,
-        # Tight enough that independently warm-started worker chains agree
-        # below 1e-12 on measure values; the warm-started re-solves absorb
-        # the extra iterations at no measurable cost.
-        gmres_tolerance: float = 1e-13,
-        lu_gmres_tolerance: float = 1e-12,
-        gmres_restart: int = 60,
-        gmres_max_iterations: int = 2000,
         solve_deadline_seconds: Optional[float] = None,
     ) -> None:
         self.method = method
@@ -290,17 +284,6 @@ class ScenarioBatchEngine:
             raise ValueError(
                 f"unknown state-space representation {self.representation!r}"
             )
-        self.gth_threshold = gth_threshold
-        self.krylov_settings = KrylovSettings(
-            direct_threshold=direct_threshold,
-            ilu_drop_tolerance=ilu_drop_tolerance,
-            ilu_fill_factor=ilu_fill_factor,
-            gmres_tolerance=gmres_tolerance,
-            lu_gmres_tolerance=lu_gmres_tolerance,
-            gmres_restart=gmres_restart,
-            gmres_max_iterations=gmres_max_iterations,
-        )
-        self.direct_threshold = direct_threshold
         #: Backend actually used by the most recent :meth:`run` call
         #: (``None`` until the first batch).
         self.last_run_backend: Optional[str] = None
@@ -743,8 +726,9 @@ class ScenarioBatchEngine:
             if not self._process_backend_supported():
                 warnings.warn(
                     "the process backend needs method='auto', a "
-                    "coefficient-carrying graph and a state space above the "
-                    "GTH cutoff; using the thread backend instead",
+                    "coefficient-carrying graph and more than "
+                    f"{MIN_PROCESS_STATES} states; using the thread backend "
+                    "instead",
                     stacklevel=4,
                 )
                 return "thread", workers, 0
@@ -968,15 +952,15 @@ class ScenarioBatchEngine:
         """Whether the multiprocess scheduler can reproduce this batch.
 
         The process workers run the Krylov reuse path exclusively, so the
-        batch must be in the regime the serial path would also solve that
-        way: ``method="auto"``, above the GTH cutoff, and a graph carrying
-        the coefficient matrices needed for zero-copy re-rating.
+        batch needs ``method="auto"``, a graph carrying the coefficient
+        matrices needed for zero-copy re-rating, and more than
+        :data:`MIN_PROCESS_STATES` states.
         """
         graph = self.graph()
         return (
             self.method == "auto"
             and graph.has_coefficients
-            and graph.number_of_states > self.gth_threshold
+            and graph.number_of_states > MIN_PROCESS_STATES
         )
 
     # --- backend drivers --------------------------------------------------
@@ -1028,7 +1012,6 @@ class ScenarioBatchEngine:
         scheduler = SweepScheduler(
             graph,
             None if isinstance(graph, ChunkedGraph) else self.template(),
-            self.krylov_settings,
             max_workers=workers,
             deadline_seconds=self.solve_deadline_seconds,
         )
@@ -1120,19 +1103,15 @@ class ScenarioBatchEngine:
                 )
             state = self._worker_state
             if state.matrix_free is None:
-                state.matrix_free = MatrixFreeSolver(
-                    self.graph(), self.krylov_settings
-                )
+                state.matrix_free = MatrixFreeSolver(self.graph())
             return state.matrix_free.solve(graph.rate_vector)
         if self.method != "auto":
             return solvers.steady_state(generator_matrix(graph), method=self.method)
-        if n <= self.gth_threshold:
-            return solvers.steady_state(generator_matrix(graph), method="gth")
 
         template = self.template()
         state = self._worker_state
         if state.solver is None:
-            state.solver = ReusableSolver(template, self.krylov_settings)
+            state.solver = ReusableSolver(template)
         return state.solver.solve(
             graph.edge_rates, lambda: generator_matrix(graph)
         )

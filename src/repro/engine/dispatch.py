@@ -7,7 +7,7 @@ always picked the process scheduler whenever ``max_workers > 1``.  On a
 machine whose effective core count is smaller than the requested worker
 count that is a severe pessimisation — ``BENCH_sweep.json`` measured the
 full Figure 7 sweep at 0.06–0.08× of serial with 8 workers time-sharing a
-single core, because every worker pays its own ILU/LU factorisation and the
+single core, because every worker pays its own ILU factorisation and the
 fork/segment setup buys no parallelism at all.
 
 This module makes the choice *cost-aware*:
@@ -79,7 +79,7 @@ def resolve_worker_count(requested: int, stacklevel: int = 2) -> int:
     """Clamp a requested worker count to the effective cores (warning once).
 
     More solver workers than cores is never a win on this workload: each
-    extra worker adds a full ILU/LU factorisation and the workers merely
+    extra worker adds a full ILU factorisation and the workers merely
     time-share the cores (measured at 0.06–0.08x of serial with 8 workers on
     one core).  The clamp is announced so ``--jobs 8`` on a small machine is
     not silently ignored.
@@ -103,7 +103,7 @@ class CostObservations:
 
     Attributes:
         cold_solve_seconds: first solve on fresh solver state — includes the
-            LU/ILU factorisation every new worker must pay per batch.
+            ILU factorisation every new worker must pay per batch.
         warm_solve_seconds: warm-started re-solve on existing state — the
             steady-state cost of one additional sweep point.
         source: where the numbers came from (``"probe"`` for the in-batch

@@ -1,12 +1,14 @@
-"""Factorisation-reusing, warm-started Krylov solver for sweep batches.
+"""Factorisation-reusing, warm-started Krylov solvers for sweep batches.
 
 The numeric heart of the batch engine, extracted so the thread path of
 :class:`~repro.engine.batch.ScenarioBatchEngine` and the process workers of
 :mod:`repro.engine.parallel` run *exactly* the same floating-point
 operations: filling one symbolically pre-assembled constrained balance
 system (:class:`~repro.engine.system.ConstrainedSystemTemplate`), reusing
-its LU/ILU factors as a preconditioner across neighbouring sweep points and
-warm-starting each GMRES solve from the previous stationary vector.
+its ILU factor as a preconditioner across neighbouring sweep points and
+warm-starting each GMRES solve from the previous stationary vector.  Both
+solvers here walk the one stationary-solve ladder of
+:mod:`repro.markov.solvers`.
 
 Given identical scenario chains (same contiguous chunk of sweep points, in
 the same order), two :class:`ReusableSolver` instances produce bitwise
@@ -18,7 +20,6 @@ scheduler testable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,85 +54,48 @@ class KrylovConvergenceError(AnalysisError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class KrylovSettings:
-    """Numeric policy shared by every worker of one sweep.
-
-    The values mirror the constructor arguments of
-    :class:`~repro.engine.batch.ScenarioBatchEngine`; the dataclass is
-    picklable so process workers can be configured through their pool
-    initializer.
-    """
-
-    direct_threshold: int = 20_000
-    ilu_drop_tolerance: float = 1e-6
-    ilu_fill_factor: float = 20.0
-    gmres_tolerance: float = 1e-13
-    lu_gmres_tolerance: float = 1e-12
-    gmres_restart: int = 60
-    gmres_max_iterations: int = 2000
+def _scenario(index: Optional[int]) -> str:
+    return f"scenario {index}" if index is not None else "a scenario"
 
 
 class ReusableSolver:
     """Per-worker numeric state: filled system, preconditioner, warm start.
 
-    One instance serves one contiguous chain of sweep points.  The first
+    One instance serves one contiguous chain of sweep points and walks the
+    :mod:`~repro.markov.solvers` ladder for each: the first
     :meth:`solve` materialises the CSC system from the shared template and
-    factors it; subsequent calls only re-fill the numeric values and re-use
-    the previous factors as a GMRES preconditioner (neighbouring sweep
-    points differ in a handful of rates, so the stale factorisation remains
-    an excellent preconditioner) with the previous stationary vector as the
-    initial guess.
+    builds its ILU; subsequent calls only re-fill the numeric values and
+    re-use the previous (stale) ILU as the GMRES preconditioner — the sweep
+    points differ in a handful of rates — with the previous stationary
+    vector as the initial guess.  A stall rebuilds the ILU for the current
+    values, and a second stall ends in a complete LU (:meth:`solve`).
     """
 
-    def __init__(self, template: ConstrainedSystemTemplate, settings: KrylovSettings):
+    def __init__(self, template: ConstrainedSystemTemplate):
         self.template = template
-        self.settings = settings
         self.system = None
         self.preconditioner = None
         self.warm_start: Optional[np.ndarray] = None
-        #: Whether the most recent solve had to abandon the reuse machinery
-        #: and fall back to the generic solver stack.
+        #: Whether the most recent solve had to fall back to complete LU.
         self.last_solve_used_fallback = False
         #: The :class:`KrylovConvergenceError` behind the most recent
         #: fallback (``None`` when the last solve converged).
         self.last_convergence_error: Optional[KrylovConvergenceError] = None
-
-    def _factorize(self, system) -> object:
-        """Factor the current system into a preconditioner.
-
-        Up to ``direct_threshold`` states a *complete* sparse LU is cheap
-        (with the AMD-style ``MMD_AT_PLUS_A`` ordering, which produces far
-        less fill than the default on these nearly-structurally-symmetric
-        CTMC systems) and makes the first GMRES iteration exact; beyond that
-        an incomplete LU keeps memory bounded.
-        """
-        settings = self.settings
-        try:
-            if system.shape[0] <= settings.direct_threshold:
-                return sparse_linalg.splu(system, permc_spec="MMD_AT_PLUS_A")
-            return sparse_linalg.spilu(
-                system,
-                drop_tol=settings.ilu_drop_tolerance,
-                fill_factor=settings.ilu_fill_factor,
-            )
-        except Exception as error:
-            raise AnalysisError(
-                f"sparse factorisation of the balance system failed: {error}"
-            ) from error
 
     def solve_krylov(
         self,
         edge_rates: np.ndarray,
         scenario_index: Optional[int] = None,
     ) -> np.ndarray:
-        """Stationary vector via preconditioned GMRES, or raise on stall.
+        """Stationary vector via the ILU rungs of the ladder, or raise.
 
-        If GMRES stalls (``maxiter`` exhausted or a non-finite iterate), the
-        factorisation is rebuilt from the current values and the solve
-        retried once; a second failure raises :class:`KrylovConvergenceError`
-        carrying the scenario index and the residual norm of the final
-        iterate — callers decide whether to fall back (:meth:`solve` does).
+        Runs preconditioned GMRES with the stale ILU, then — unless that
+        ILU was built for these very values — with a rebuilt one.  A
+        vector is returned only when it passes
+        :func:`~repro.markov.solvers.certify`; otherwise this raises
+        :class:`KrylovConvergenceError` carrying the scenario index and the
+        true residual of the last iterate — callers decide whether to fall
+        back (:meth:`solve` does).
         """
         template = self.template
         if self.system is None:
@@ -139,56 +103,34 @@ class ReusableSolver:
         else:
             template.refill(self.system, edge_rates)
 
-        settings = self.settings
-        rhs = template.rhs
-        rtol = (
-            settings.lu_gmres_tolerance
-            if self.system.shape[0] <= settings.direct_threshold
-            else settings.gmres_tolerance
-        )
-        solution = None
-        for attempt in ("reuse", "rebuild"):
-            if self.preconditioner is None or attempt == "rebuild":
-                self.preconditioner = self._factorize(self.system)
-            operator = sparse_linalg.LinearOperator(
-                self.system.shape, self.preconditioner.solve
+        x0 = None
+        if self.warm_start is not None and self.warm_start.shape == template.rhs.shape:
+            x0 = self.warm_start
+        residual = float("nan")
+        fresh = False
+        for rung in ("stale", "rebuilt"):
+            if self.preconditioner is None or rung == "rebuilt":
+                if fresh:
+                    break  # the factor already matches these values
+                try:
+                    self.preconditioner = solvers.factorize(self.system)
+                except AnalysisError:
+                    self.preconditioner = None
+                    break
+                fresh = True
+            probabilities, residual = solvers.iterate(
+                self.system, template.rhs, self.preconditioner, x0
             )
-            x0 = None
-            if self.warm_start is not None and self.warm_start.shape == rhs.shape:
-                x0 = self.warm_start
-            solution, info = sparse_linalg.gmres(
-                self.system,
-                rhs,
-                M=operator,
-                x0=x0,
-                rtol=rtol,
-                atol=0.0,
-                restart=settings.gmres_restart,
-                maxiter=settings.gmres_max_iterations,
-            )
-            if info == 0 and np.all(np.isfinite(solution)):
-                probabilities = solvers.normalize_distribution(
-                    np.asarray(solution).ravel()
-                )
+            if probabilities is not None:
                 self.warm_start = probabilities
                 return probabilities
-        residual_norm = float("nan")
-        if solution is not None and np.all(np.isfinite(solution)):
-            residual_norm = float(
-                np.linalg.norm(self.system @ np.asarray(solution).ravel() - rhs)
-            )
-        where = (
-            f"scenario {scenario_index}"
-            if scenario_index is not None
-            else "a scenario"
-        )
         raise KrylovConvergenceError(
-            f"preconditioned GMRES did not converge on {where} after "
-            f"{settings.gmres_max_iterations} iteration(s) with a rebuilt "
-            f"factorisation (final residual norm {residual_norm:.3e})",
+            f"ILU-preconditioned GMRES did not converge on "
+            f"{_scenario(scenario_index)} within {solvers.GMRES_MAX_ITERATIONS} "
+            f"iteration(s) with a fresh ILU (true residual {residual:.3e})",
             scenario_index=scenario_index,
-            residual_norm=residual_norm,
-            iterations=settings.gmres_max_iterations,
+            residual_norm=residual,
+            iterations=solvers.GMRES_MAX_ITERATIONS,
         )
 
     def solve(
@@ -199,15 +141,15 @@ class ReusableSolver:
     ) -> np.ndarray:
         """Stationary vector of the template's system under ``edge_rates``.
 
-        Runs :meth:`solve_krylov` (GMRES with a reuse-then-rebuild
-        preconditioner schedule); on :class:`KrylovConvergenceError` the
-        documented fallback takes over: the reuse state is discarded and the
-        generic direct solver stack runs on ``fallback_generator()`` (a
-        freshly assembled CTMC generator).  The convergence failure is
-        surfaced as a warning — carrying the scenario index and residual
-        norm — and kept in :attr:`last_convergence_error`; a row solved this
-        way is additionally flagged via :attr:`last_solve_used_fallback`
-        (``STATUS_FALLBACK`` in the sweep scheduler's status block).
+        Runs :meth:`solve_krylov`; on :class:`KrylovConvergenceError` the
+        last rung takes over: the reuse state is discarded and a certified
+        complete LU (``steady_state(method="direct")``) runs on
+        ``fallback_generator()``, a freshly assembled CTMC generator.  The
+        convergence failure is surfaced as a warning — naming the scenario
+        and the residual — and kept in :attr:`last_convergence_error`; a
+        row solved this way is additionally flagged via
+        :attr:`last_solve_used_fallback` (``STATUS_FALLBACK`` in the sweep
+        scheduler's status block).
         """
         self.last_solve_used_fallback = False
         self.last_convergence_error = None
@@ -216,20 +158,17 @@ class ReusableSolver:
         except KrylovConvergenceError as error:
             self.last_convergence_error = error
             warnings.warn(
-                f"{error}; falling back to the direct solver stack",
+                f"{error}; falling back to the direct solver (complete LU)",
                 stacklevel=2,
             )
             self.preconditioner = None
             self.warm_start = None
             self.last_solve_used_fallback = True
-            return solvers.steady_state(fallback_generator(), method="auto")
+            return solvers.steady_state(fallback_generator(), method="direct")
 
 
-#: Default superblock width of the matrix-free block-Jacobi preconditioner.
-#: Kept at/below ``KrylovSettings.direct_threshold`` so every block gets a
-#: *complete* LU — the same "complete LU is cheap at this size" reasoning the
-#: in-RAM solver applies globally, applied per block; it also bounds the
-#: factorisation memory independently of the total state count.
+#: Default superblock width of the matrix-free block-Jacobi preconditioner;
+#: it bounds the factorisation memory independently of the state count.
 DEFAULT_SUPERBLOCK_ROWS = 16_384
 
 
@@ -246,27 +185,24 @@ class MatrixFreeSolver:
     chunks merged to roughly :data:`DEFAULT_SUPERBLOCK_ROWS` rows.  Because
     chunks partition the states by source row, a superblock's in-block
     entries come only from its own chunks (targets filtered to the block),
-    so the factor build streams the graph once.  Each block gets a complete
-    sparse LU (ILU beyond ``direct_threshold``; a diagonal fallback if a
-    block factorisation fails).  Like :class:`ReusableSolver`, factors are
-    reused across sweep points as stale-but-good preconditioners and only
-    rebuilt when a solve stalls; convergence escalates GMRES → BiCGStab →
-    iterative refinement (:func:`repro.markov.solvers.steady_state_matrix_free`)
-    before giving up with an honest :class:`KrylovConvergenceError`.
+    so the factor build streams the graph once.  Each block is factored by
+    :func:`repro.markov.solvers.factorize` (a diagonal fallback if a block
+    factorisation fails), and the solve walks the same ladder as
+    :class:`ReusableSolver`: stale ILU blocks → rebuilt ILU blocks →
+    complete-LU blocks.  Each rung runs GMRES → BiCGStab → iterative
+    refinement (:func:`repro.markov.solvers.steady_state_matrix_free`), and
+    only a vector that passes :func:`repro.markov.solvers.certify` is
+    returned; otherwise an honest :class:`KrylovConvergenceError` is raised.
     """
 
     def __init__(
         self,
         graph: ChunkedGraph,
-        settings: KrylovSettings = KrylovSettings(),
         *,
         superblock_rows: int = DEFAULT_SUPERBLOCK_ROWS,
-        residual_target: float = 1e-14,
     ) -> None:
         self.graph = graph
-        self.settings = settings
         self.superblock_rows = max(1, superblock_rows)
-        self.residual_target = residual_target
         self.warm_start: Optional[np.ndarray] = None
         self.preconditioner = None
         self._factor_rates: Optional[np.ndarray] = None
@@ -313,12 +249,11 @@ class MatrixFreeSolver:
         return blocks
 
     def _factorize(
-        self, rate_vector: np.ndarray, exit_rates: np.ndarray
+        self, rate_vector: np.ndarray, exit_rates: np.ndarray, complete: bool = False
     ) -> sparse_linalg.LinearOperator:
         graph = self.graph
-        settings = self.settings
         n = graph.number_of_states
-        solvers_per_block: list[tuple[int, int, object, Optional[np.ndarray]]] = []
+        solvers_per_block: list[tuple[int, int, Callable]] = []
         for row_start, row_end, members in self._superblocks():
             width = row_end - row_start
             rows: list[np.ndarray] = []
@@ -358,37 +293,23 @@ class MatrixFreeSolver:
             block = sparse.coo_matrix(
                 (values, (row_ids, col_ids)), shape=(width, width)
             ).tocsc()
-            factor = None
             try:
-                if width <= settings.direct_threshold:
-                    factor = sparse_linalg.splu(block, permc_spec="MMD_AT_PLUS_A")
-                else:
-                    factor = sparse_linalg.spilu(
-                        block,
-                        drop_tol=settings.ilu_drop_tolerance,
-                        fill_factor=settings.ilu_fill_factor,
-                    )
-            except Exception:
-                factor = None
-            fallback = None
-            if factor is None:
-                # Singular / failed block: fall back to diagonal (Jacobi)
-                # scaling so the preconditioner stays well defined.
+                solve = solvers.factorize(block, complete=complete).solve
+            except AnalysisError:
+                # Singular / failed block: diagonal (Jacobi) scaling keeps
+                # the preconditioner well defined.
                 diagonal_values = block.diagonal()
-                diagonal_values = np.where(
+                scale = 1.0 / np.where(
                     np.abs(diagonal_values) > 1e-300, diagonal_values, 1.0
                 )
-                fallback = 1.0 / diagonal_values
-            solvers_per_block.append((row_start, row_end, factor, fallback))
+                solve = scale.__mul__
+            solvers_per_block.append((row_start, row_end, solve))
 
         def apply(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=np.float64).ravel()
             y = np.empty_like(x)
-            for row_start, row_end, factor, fallback in solvers_per_block:
-                if factor is not None:
-                    y[row_start:row_end] = factor.solve(x[row_start:row_end])
-                else:
-                    y[row_start:row_end] = x[row_start:row_end] * fallback
+            for row_start, row_end, solve in solvers_per_block:
+                y[row_start:row_end] = solve(x[row_start:row_end])
             return y
 
         return sparse_linalg.LinearOperator((n, n), matvec=apply)
@@ -400,13 +321,13 @@ class MatrixFreeSolver:
         rate_vector: Optional[np.ndarray] = None,
         scenario_index: Optional[int] = None,
     ) -> np.ndarray:
-        """Stationary vector for ``rate_vector`` (default: the graph's own).
+        """Certified stationary vector for ``rate_vector`` (default: the graph's own).
 
         Raises:
-            KrylovConvergenceError: when even the escalation ladder with
-                freshly built factors cannot push the residual below the
-                target — there is no denser representation to fall back to,
-                so the failure is surfaced instead of a degraded vector.
+            KrylovConvergenceError: when even complete-LU blocks cannot
+                produce a vector that passes the residual check — there is
+                no denser representation to fall back to, so the failure is
+                surfaced instead of a degraded vector.
         """
         graph = self.graph
         n = graph.number_of_states
@@ -421,43 +342,48 @@ class MatrixFreeSolver:
         )
         exit_rates = graph.exit_rates(rates)
         operator = self._operator(rates, exit_rates)
-        settings = self.settings
-        best_norm = float("nan")
-        for attempt in ("reuse", "rebuild"):
-            stale = self._factor_rates is None or not np.array_equal(
-                self._factor_rates, rates
-            )
-            if self.preconditioner is None or (attempt == "rebuild" and stale):
-                self.preconditioner = self._factorize(rates, exit_rates)
-                self._factor_rates = rates.copy()
-            elif attempt == "rebuild":
-                break  # factors already match these rates; nothing to rebuild
-            x0 = None
-            if self.warm_start is not None and self.warm_start.shape == (n,):
-                x0 = self.warm_start
-            solution, best_norm = solvers.steady_state_matrix_free(
+        norm = 2.0 * float(exit_rates.max())
+        where = _scenario(scenario_index)
+        residual = float("nan")
+        for rung in ("stale", "rebuilt", "complete"):
+            if rung == "complete":
+                warnings.warn(
+                    f"ILU-preconditioned Krylov solve did not converge on {where} "
+                    f"(true residual {residual:.3e}); retrying with complete-LU "
+                    "blocks",
+                    stacklevel=2,
+                )
+                preconditioner = self._factorize(rates, exit_rates, complete=True)
+                # A one-off rescue: the next point starts over with ILU.
+                self.preconditioner = self._factor_rates = None
+            else:
+                fresh = self._factor_rates is not None and np.array_equal(
+                    self._factor_rates, rates
+                )
+                if self.preconditioner is None or (rung == "rebuilt" and not fresh):
+                    self.preconditioner = self._factorize(rates, exit_rates)
+                    self._factor_rates = rates.copy()
+                elif rung == "rebuilt":
+                    continue  # the factors already match these rates
+                preconditioner = self.preconditioner
+            solution, _ = solvers.steady_state_matrix_free(
                 operator,
                 self.rhs,
-                preconditioner=self.preconditioner,
-                x0=x0,
-                rtol=settings.gmres_tolerance,
-                restart=max(settings.gmres_restart, 100),
-                residual_target=self.residual_target,
+                preconditioner=preconditioner,
+                x0=self.warm_start,
+                rtol=solvers.GMRES_TOLERANCE,
+                restart=max(solvers.GMRES_RESTART, 100),
+                residual_target=solvers.GMRES_TOLERANCE,
             )
-            if best_norm <= self.residual_target:
-                probabilities = solvers.normalize_distribution(solution)
+            probabilities, residual = solvers.certify(solution, operator.matvec, norm)
+            if probabilities is not None:
                 self.warm_start = probabilities
                 return probabilities
-        where = (
-            f"scenario {scenario_index}"
-            if scenario_index is not None
-            else "a scenario"
-        )
         raise KrylovConvergenceError(
-            f"matrix-free Krylov ladder (GMRES, BiCGStab, refinement) did not "
-            f"reach the residual target {self.residual_target:.1e} on {where} "
-            f"(final residual norm {best_norm:.3e})",
+            f"matrix-free Krylov ladder (stale ILU, rebuilt ILU, complete LU) "
+            f"did not pass the residual check on {where} "
+            f"(true residual {residual:.3e})",
             scenario_index=scenario_index,
-            residual_norm=best_norm,
-            iterations=settings.gmres_max_iterations,
+            residual_norm=residual,
+            iterations=solvers.GMRES_MAX_ITERATIONS,
         )

@@ -11,7 +11,7 @@ evaluate every reward measure of the whole batch with a single
 ``(S, n) @ (n, m)`` GEMM (:mod:`repro.engine.measures`).
 
 Scenarios are scheduled in **contiguous sweep-order chunks** — one chunk per
-worker — so each worker chains warm starts and reuses its LU/ILU
+worker — so each worker chains warm starts and reuses its ILU
 preconditioner across neighbouring sweep points, restoring the locality the
 sequential path was designed around (an interleaved assignment would hand
 every worker a stride of unrelated points and forfeit the reuse).
@@ -54,7 +54,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.engine import faults
-from repro.engine.krylov import KrylovSettings, MatrixFreeSolver, ReusableSolver
+from repro.engine.krylov import MatrixFreeSolver, ReusableSolver
 from repro.engine.system import ConstrainedSystemTemplate
 from repro.spn.reachability import TangibleReachabilityGraph
 from repro.statespace.chunked import ChunkedGraph
@@ -339,9 +339,8 @@ def _attach_untracked(name: str):
 class _WorkerContext:
     """Per-process solver state rebuilt lazily from the shared segment."""
 
-    def __init__(self, manifest: dict, settings: KrylovSettings) -> None:
+    def __init__(self, manifest: dict) -> None:
         self.segment = _attach_untracked(manifest["segment"])
-        self.settings = settings
         self.n = int(manifest["number_of_states"])
         arrays: dict[str, np.ndarray] = {}
         for name, spec in manifest["specs"].items():
@@ -367,7 +366,7 @@ class _WorkerContext:
             self.coefficients_T = None
             self.solver = None
             self.matrix_free: Optional[MatrixFreeSolver] = MatrixFreeSolver(
-                ChunkedGraph.open(chunk_directory), settings
+                ChunkedGraph.open(chunk_directory)
             )
             return
         self.matrix_free = None
@@ -388,7 +387,7 @@ class _WorkerContext:
             },
             self.n,
         )
-        self.solver = ReusableSolver(template, settings)
+        self.solver = ReusableSolver(template)
 
     def close(self) -> None:
         """Drop every view into the segment and detach from it.
@@ -538,7 +537,7 @@ def _worker_initializer() -> None:
 
 
 def _worker_run_chunk(
-    manifest: dict, settings: KrylovSettings, indices: tuple[int, ...]
+    manifest: dict, indices: tuple[int, ...]
 ) -> tuple[int, ...]:
     """Solve one contiguous chunk of the manifested segment.
 
@@ -549,7 +548,7 @@ def _worker_run_chunk(
     mapping after the parent unlinks the segment would pin the whole
     (S, n) block's physical memory in an idle worker indefinitely.
     """
-    context = _WorkerContext(manifest, settings)
+    context = _WorkerContext(manifest)
     try:
         context.run_chunk(indices)
     finally:
@@ -852,7 +851,6 @@ class SweepScheduler:
         graph: the shared tangible reachability graph (must carry the
             per-transition coefficient matrices).
         template: the symbolic constrained-system structure of ``graph``.
-        settings: Krylov solver policy replicated in every worker.
         max_workers: number of worker processes.
         reuse_pool: run batches on the module's persistent worker pool
             (the default) instead of a throwaway per-batch pool.
@@ -868,7 +866,6 @@ class SweepScheduler:
         self,
         graph: TangibleReachabilityGraph,
         template: Optional[ConstrainedSystemTemplate],
-        settings: KrylovSettings,
         max_workers: int,
         reuse_pool: bool = True,
         deadline_seconds: Optional[float] = None,
@@ -891,7 +888,6 @@ class SweepScheduler:
             raise SharedMemoryUnavailable("injected shared-memory attach failure")
         self.graph = graph
         self.template = template
-        self.settings = settings
         self.max_workers = max(1, int(max_workers))
         self.reuse_pool = reuse_pool
         self.deadline_seconds = deadline_seconds
@@ -918,7 +914,6 @@ class SweepScheduler:
                         len(chunks),
                         _worker_run_chunk,
                         manifest,
-                        self.settings,
                         chunk,
                     )
                     for chunk in chunks
@@ -931,7 +926,7 @@ class SweepScheduler:
             initializer=_worker_initializer,
         ) as pool:
             futures = [
-                pool.submit(_worker_run_chunk, manifest, self.settings, chunk)
+                pool.submit(_worker_run_chunk, manifest, chunk)
                 for chunk in chunks
             ]
             for future in futures:

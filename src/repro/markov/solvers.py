@@ -1,18 +1,42 @@
 """Linear-algebra solvers for stationary distributions.
 
-Three solver families are provided:
+One policy computes every steady state the program needs: ``method="auto"``
+here, and the engine's :class:`~repro.engine.krylov.ReusableSolver`
+(in-RAM sweeps) and :class:`~repro.engine.krylov.MatrixFreeSolver`
+(out-of-core chunked graphs).  It is :func:`factorize`, :func:`iterate` and
+:func:`certify` with the constants below, and no step of it depends on the
+number of states:
 
-* ``direct``  — sparse LU factorisation of the constrained balance equations;
-  robust and exact up to round-off, the default for small / medium chains.
-* ``gth``     — the Grassmann–Taksar–Heyman elimination, which avoids
-  subtractive cancellation and is the most numerically stable choice for
-  stiff chains (the disaster models are extremely stiff: disaster rates are
-  ~1/876000 h⁻¹ while immediate repairs are minutes).  Dense, O(n³), so only
-  used for small chains.
-* ``power`` / ``gauss_seidel`` — iterative methods for large state spaces.
+* **Factor.**  The constrained balance system ``A x = b`` (``A = Qᵀ`` with
+  its last row replaced by ones, see :func:`constrained_balance_system`) is
+  factored by an incomplete LU: ``spilu(drop_tol=1e-5, fill_factor=10,
+  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0)``.  ``A`` is diagonally
+  dominant by columns — the property GTH relies on — so diagonal pivots are
+  stable; partial pivoting would instead pull the dense normalisation row
+  forward and fill the factor in almost densely on lumped, stiff chains.
+* **Iterate.**  GMRES preconditioned by that factor with ``rtol=1e-13``.
+  Engine sweeps keep the factor as the preconditioner of the next,
+  warm-started sweep point.
+* **Escalate.**  Stale ILU → rebuilt ILU → complete LU (``splu`` with the
+  same ordering and diagonal pivoting).
+* **Certify.**  Every returned vector passes one true-residual check,
+  :func:`certify` — one product with ``A``:
+  ``max(‖πQ‖∞ / ‖Q‖∞, |Σπ − 1|) ≤ RESIDUAL_BOUND``.  A vector that fails it
+  is never returned.
+
+Explicit methods bypass the ladder:
+
+* ``direct``  — the complete-LU rung alone, certified the same way;
+* ``gth``     — Grassmann–Taksar–Heyman elimination on a dense copy; it
+  avoids subtractive cancellation and is the most stable choice for small
+  stiff chains (disaster rates ~1/876000 h⁻¹ against repairs of minutes),
+  but it is O(n³);
+* ``power`` / ``gauss_seidel`` — classic iterations, kept as references.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -22,6 +46,17 @@ from repro.exceptions import AnalysisError
 
 _DEFAULT_TOLERANCE = 1e-12
 _DEFAULT_MAX_ITERATIONS = 200_000
+
+#: Bound of the one true-residual check every policy result passes.
+RESIDUAL_BOUND = 1e-12
+#: Fill-reducing column ordering of every factorisation: minimum degree on
+#: the nearly structurally symmetric ``A + Aᵀ``.
+ORDERING = "MMD_AT_PLUS_A"
+ILU_DROP_TOLERANCE = 1e-5
+ILU_FILL_FACTOR = 10.0
+GMRES_TOLERANCE = 1e-13
+GMRES_RESTART = 60
+GMRES_MAX_ITERATIONS = 2000
 
 
 def _as_csr(generator) -> sparse.csr_matrix:
@@ -64,19 +99,17 @@ def steady_state(
 
     Args:
         generator: CTMC generator matrix (dense or sparse), shape ``(n, n)``.
-        method: ``"auto"``, ``"direct"``, ``"gth"``, ``"power"`` or
-            ``"gauss_seidel"``.  ``"auto"`` picks GTH for very small chains,
-            the sparse direct solver up to a few tens of thousands of states
-            and Gauss–Seidel beyond that.
-        tolerance: convergence tolerance for the iterative methods.
-        max_iterations: iteration cap for the iterative methods.
+        method: ``"auto"`` (the policy's ladder), ``"direct"``,
+            ``"gth"``, ``"power"`` or ``"gauss_seidel"``.
+        tolerance: convergence tolerance for ``power`` and ``gauss_seidel``.
+        max_iterations: iteration cap for ``power`` and ``gauss_seidel``.
 
     Returns:
         The stationary probability vector of length ``n``.
 
     Raises:
         AnalysisError: if the method is unknown, the matrix is not a valid
-            generator, or an iterative method fails to converge.
+            generator, or the solve cannot produce a certified vector.
     """
     matrix = _as_csr(generator)
     n = matrix.shape[0]
@@ -85,22 +118,25 @@ def steady_state(
     if n == 1:
         return np.array([1.0])
 
-    if method == "auto":
-        if n <= 200:
-            method = "gth"
-        elif n <= 20_000:
-            method = "direct"
-        else:
-            # Large stiff chains: incomplete-LU preconditioned GMRES scales
-            # far better than a complete sparse factorisation here.
-            method = "gmres_ilu"
-
+    if method in ("auto", "direct"):
+        system, rhs = constrained_balance_system(matrix)
+        if method == "auto":
+            try:
+                probabilities, _ = iterate(system, rhs, factorize(system))
+            except AnalysisError:
+                probabilities = None  # the ILU could not be built: escalate
+            if probabilities is not None:
+                return probabilities
+        factor = factorize(system, complete=True)
+        probabilities, residual = certify(factor.solve(rhs), system.dot, balance_norm(system))
+        if probabilities is None:
+            raise AnalysisError(
+                f"complete-LU steady-state solve failed the residual check "
+                f"(residual {residual:.3e} > {RESIDUAL_BOUND:.0e})"
+            )
+        return probabilities
     if method == "gth":
         return _steady_state_gth(matrix.toarray())
-    if method == "direct":
-        return _steady_state_direct(matrix)
-    if method == "gmres_ilu":
-        return _steady_state_gmres_ilu(matrix, tolerance, max_iterations)
     if method == "power":
         return _steady_state_power(matrix, tolerance, max_iterations)
     if method == "gauss_seidel":
@@ -122,9 +158,6 @@ def normalize_distribution(vector: np.ndarray) -> np.ndarray:
     return vector / total
 
 
-_normalise = normalize_distribution
-
-
 def constrained_balance_system(
     matrix: sparse.spmatrix,
 ) -> tuple[sparse.csc_matrix, np.ndarray]:
@@ -142,6 +175,93 @@ def constrained_balance_system(
     rhs = np.zeros(n)
     rhs[n - 1] = 1.0
     return transposed.tocsc(), rhs
+
+
+def balance_norm(system: sparse.spmatrix) -> float:
+    """``‖Q‖∞ = 2 · max exit rate``, read off the constrained system ``A``.
+
+    ``A``'s diagonal holds the negated exit rates of every state but the
+    last, whose diagonal entry the normalisation row replaced; that state's
+    exit rate is the sum of its outgoing rates in column ``n − 1``.
+    """
+    n = system.shape[0]
+    exit_rates = -system.diagonal()
+    exit_rates[n - 1] = system[: n - 1, [n - 1]].sum()
+    return 2.0 * float(exit_rates.max())
+
+
+def certify(
+    solution: np.ndarray,
+    apply: Callable[[np.ndarray], np.ndarray],
+    norm: float,
+) -> tuple[Optional[np.ndarray], float]:
+    """The one true-residual check every policy result passes.
+
+    ``solution`` is a raw solve of the constrained system ``A x = b``,
+    ``apply`` computes ``A x`` and ``norm`` is ``‖Q‖∞``.  The vector is
+    normalised to ``π`` (``‖π‖₁ = 1``) and checked with one product
+    ``A π``: its first ``n − 1`` entries are ``(πQ)₀ … (πQ)ₙ₋₂``, the
+    missing ``(πQ)ₙ₋₁`` is minus their sum (``Q`` has zero row sums), and
+    its last entry is ``Σπ``.  The residual is
+    ``max(‖πQ‖∞ / ‖Q‖∞, |Σπ − 1|)``.
+
+    Returns:
+        ``(π, residual)``, with ``π`` replaced by ``None`` when the residual
+        exceeds :data:`RESIDUAL_BOUND` or the solution is not a finite,
+        normalisable vector.
+    """
+    vector = np.asarray(solution, dtype=np.float64).ravel()
+    try:
+        probabilities = normalize_distribution(vector)
+    except AnalysisError:
+        probabilities = None  # report the raw vector's residual
+    product = apply(vector if probabilities is None else probabilities)
+    flows = product[:-1]
+    balance = max(float(np.abs(flows).max(initial=0.0)), abs(float(flows.sum())))
+    residual = max(balance / norm if norm > 0 else balance, abs(product[-1] - 1.0))
+    if probabilities is None or not residual <= RESIDUAL_BOUND:
+        return None, residual
+    return probabilities, residual
+
+
+def factorize(system: sparse.spmatrix, *, complete: bool = False):
+    """Incomplete (default) or complete LU of a constrained system."""
+    try:
+        if complete:
+            return sparse_linalg.splu(system, permc_spec=ORDERING, diag_pivot_thresh=0.0)
+        return sparse_linalg.spilu(
+            system,
+            drop_tol=ILU_DROP_TOLERANCE,
+            fill_factor=ILU_FILL_FACTOR,
+            permc_spec=ORDERING,
+            diag_pivot_thresh=0.0,
+        )
+    except Exception as error:
+        kind = "complete" if complete else "incomplete"
+        raise AnalysisError(f"{kind} LU of the balance system failed: {error}") from error
+
+
+def iterate(
+    system: sparse.spmatrix,
+    rhs: np.ndarray,
+    factor,
+    x0: Optional[np.ndarray] = None,
+) -> tuple[Optional[np.ndarray], float]:
+    """GMRES on ``A x = rhs`` preconditioned by ``factor``, certified.
+
+    Returns :func:`certify`'s ``(π or None, residual)``.
+    """
+    solution, _ = sparse_linalg.gmres(
+        system,
+        rhs,
+        M=sparse_linalg.LinearOperator(system.shape, factor.solve),
+        x0=x0,
+        rtol=GMRES_TOLERANCE,
+        atol=0.0,
+        restart=GMRES_RESTART,
+        maxiter=GMRES_MAX_ITERATIONS,
+    )
+    return certify(solution, system.dot, balance_norm(system))
 
 
 def steady_state_matrix_free(
@@ -241,51 +361,6 @@ def steady_state_matrix_free(
     return best, best_norm
 
 
-def _steady_state_gmres_ilu(
-    matrix: sparse.csr_matrix,
-    tolerance: float,
-    max_iterations: int,
-    drop_tolerance: float = 1e-6,
-    fill_factor: float = 20.0,
-) -> np.ndarray:
-    """Incomplete-LU preconditioned GMRES on the constrained balance equations."""
-    system, rhs = constrained_balance_system(matrix)
-    try:
-        preconditioner = sparse_linalg.spilu(
-            system, drop_tol=drop_tolerance, fill_factor=fill_factor
-        )
-    except Exception as error:  # pragma: no cover - scipy-specific failures
-        raise AnalysisError(f"ILU preconditioner construction failed: {error}") from error
-    operator = sparse_linalg.LinearOperator(system.shape, preconditioner.solve)
-    solution, info = sparse_linalg.gmres(
-        system,
-        rhs,
-        M=operator,
-        rtol=min(tolerance, 1e-10),
-        atol=0.0,
-        restart=60,
-        maxiter=min(max_iterations, 2000),
-    )
-    if info != 0:
-        raise AnalysisError(
-            f"preconditioned GMRES did not converge (scipy info code {info})"
-        )
-    if not np.all(np.isfinite(solution)):
-        raise AnalysisError("preconditioned GMRES produced non-finite values")
-    return _normalise(np.asarray(solution).ravel())
-
-
-def _steady_state_direct(matrix: sparse.csr_matrix) -> np.ndarray:
-    system, rhs = constrained_balance_system(matrix)
-    try:
-        solution = sparse_linalg.spsolve(system, rhs)
-    except Exception as error:  # pragma: no cover - scipy-specific failures
-        raise AnalysisError(f"sparse direct steady-state solve failed: {error}") from error
-    if not np.all(np.isfinite(solution)):
-        raise AnalysisError("sparse direct steady-state solve produced non-finite values")
-    return _normalise(np.asarray(solution).ravel())
-
-
 def _steady_state_gth(q: np.ndarray) -> np.ndarray:
     """Grassmann–Taksar–Heyman elimination on a dense generator copy."""
     n = q.shape[0]
@@ -307,7 +382,7 @@ def _steady_state_gth(q: np.ndarray) -> np.ndarray:
     pi[0] = 1.0
     for k in range(1, n):
         pi[k] = float(np.dot(pi[:k], matrix[:k, k]))
-    return _normalise(pi)
+    return normalize_distribution(pi)
 
 
 def _uniformised_transition_matrix(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -334,7 +409,7 @@ def _steady_state_power(
             raise AnalysisError("power iteration lost all probability mass")
         updated /= total
         if np.max(np.abs(updated - pi)) < tolerance:
-            return _normalise(updated)
+            return normalize_distribution(updated)
         pi = updated
     raise AnalysisError(
         f"power iteration did not converge within {max_iterations} iterations"
@@ -373,7 +448,7 @@ def _steady_state_gauss_seidel(
             raise AnalysisError("Gauss-Seidel iteration lost all probability mass")
         x /= total
         if max_change < tolerance:
-            return _normalise(x)
+            return normalize_distribution(x)
     raise AnalysisError(
         f"Gauss-Seidel iteration did not converge within {max_iterations} iterations"
     )

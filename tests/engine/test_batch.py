@@ -13,13 +13,34 @@ from repro.spn import (
     generator_matrix,
     solve_steady_state,
     with_transition_delays,
+    with_transition_rates,
 )
+
+from repro.core.parameters import CaseStudyParameters
+from repro.core.scenarios import homogeneous_mesh_scenario
+from repro.symmetry import build_canonicalizer
 
 from tests.spn.nets import machine_repair, simple_component
 
 
 def component_graph(mttf=100.0, mttr=2.0):
     return generate_tangible_reachability_graph(simple_component("X", mttf, mttr))
+
+
+@pytest.fixture(scope="module")
+def lumped_mesh():
+    """The 2 660-state DC+PM-lumped N = 3 mesh (two PMs per data center)."""
+    scenario = homogeneous_mesh_scenario(
+        3, machines_per_datacenter=2, capacity_aware_migration=True
+    )
+    model = scenario.build_model(
+        CaseStudyParameters(required_running_vms=1, vms_per_physical_machine=1)
+    )
+    graph = generate_tangible_reachability_graph(
+        model.build(), canonicalize=build_canonicalizer(model.symmetry_spec())
+    )
+    assert graph.number_of_states == 2660
+    return graph
 
 
 class TestConstrainedSystemTemplate:
@@ -270,3 +291,32 @@ class TestDedupeAndInjection:
         plain = plain_engine.run(self.specs_with_duplicates(), self.measures())
         for a, b in zip(plain, results):
             assert abs(a.value("all_up") - b.value("all_up")) < 1e-12
+
+
+class TestSolvePolicyOnLumpedMesh:
+    """The ILU–GMRES policy agrees with complete LU on a stiff lumped chain."""
+
+    def test_auto_matches_complete_lu(self, lumped_mesh):
+        q = generator_matrix(lumped_mesh)
+        np.testing.assert_allclose(
+            solvers.steady_state(q, method="auto"),
+            solvers.steady_state(q, method="direct"),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    def test_batch_engine_matches_complete_lu(self, lumped_mesh):
+        # Two sweep points on one engine: a cold ILU, then a warm re-solve
+        # preconditioned by the first point's (stale) factor.
+        faster_starts = {
+            name: 20.0
+            for name in lumped_mesh.transition_names
+            if name.startswith("VM_STRT_")
+        }
+        engine = ScenarioBatchEngine(lumped_mesh)
+        for rates in ({}, faster_starts):
+            re_rated = with_transition_rates(lumped_mesh, rates)
+            expected = solvers.steady_state(generator_matrix(re_rated), method="direct")
+            np.testing.assert_allclose(
+                engine.solve(rates=rates).probabilities, expected, rtol=0.0, atol=1e-12
+            )

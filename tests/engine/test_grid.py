@@ -464,7 +464,11 @@ class TestPipeline:
         with pytest.warns(UserWarning, match="generating in-process"):
             outcome = ScenarioGridOrchestrator(jobs=2).run(cases)
         assert outcome.pipelined
-        barrier = ScenarioGridOrchestrator(pipeline=False).run(cases)
+        with pytest.warns(
+            UserWarning,
+            match=r"concurrent grid generation unavailable .*generating serially",
+        ):
+            barrier = ScenarioGridOrchestrator(pipeline=False).run(cases)
         for a, b in zip(outcome.results, barrier.results):
             for name, value in a.measures.items():
                 assert abs(value - b.measures[name]) < 1e-12

@@ -187,6 +187,36 @@ class TestBatchEngineChunked:
             solution.probabilities, reference.probabilities, atol=1e-12, rtol=0
         )
 
+    def test_stalled_ilu_walks_the_ladder_down_to_complete_lu(self, monkeypatch):
+        from repro.engine.krylov import MatrixFreeSolver
+        from repro.markov import solvers
+
+        net = machine_repair(4)
+        reference = ScenarioBatchEngine(net).solve()
+        chunked = ScenarioBatchEngine(net, representation="chunked")  # owns the files
+        graph = chunked.graph()
+        solve = solvers.steady_state_matrix_free
+        calls = []
+
+        def stall_first(operator, rhs, **kwargs):
+            calls.append(kwargs["preconditioner"])
+            if len(calls) == 1:  # the fresh ILU rung
+                return np.zeros(rhs.shape), 1.0
+            return solve(operator, rhs, **kwargs)
+
+        monkeypatch.setattr(solvers, "steady_state_matrix_free", stall_first)
+        solver = MatrixFreeSolver(graph)
+        with pytest.warns(
+            UserWarning,
+            match=r"scenario 5 \(true residual 1\.000e\+00\); retrying with complete-LU",
+        ):
+            probabilities = solver.solve(scenario_index=5)
+        assert len(calls) == 2  # a fresh ILU is not rebuilt for the same rates
+        assert solver.preconditioner is None  # the next point starts over with ILU
+        np.testing.assert_allclose(
+            probabilities, reference.probabilities, atol=1e-12, rtol=0
+        )
+
     def test_chunked_engine_round_trips_the_cache(self, tmp_path):
         net = machine_repair(4)
         cache = TRGCache(tmp_path)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    KrylovSettings,
     RewardMatrix,
     ScenarioBatchEngine,
     ScenarioSpec,
@@ -327,7 +326,7 @@ class TestSharedMemoryHygiene:
         )
 
 
-def _exploding_chunk(manifest, settings, indices):
+def _exploding_chunk(manifest, indices):
     raise RuntimeError("boom")
 
 
@@ -384,7 +383,7 @@ class TestSweepScheduler:
         engine = ScenarioBatchEngine(graph)
         rate_matrix = engine.rate_matrix(sweep_specs()[:4])
         scheduler = SweepScheduler(
-            graph, engine.template(), KrylovSettings(), max_workers=2
+            graph, engine.template(), max_workers=2
         )
         outcome = scheduler.run(rate_matrix)
         assert outcome.solutions.shape == (4, graph.number_of_states)
@@ -404,7 +403,7 @@ class TestSweepScheduler:
         engine = ScenarioBatchEngine(graph)
         with pytest.raises(ValueError, match="coefficient"):
             SweepScheduler(
-                stripped, engine.template(), KrylovSettings(), max_workers=2
+                stripped, engine.template(), max_workers=2
             )
 
 

@@ -24,7 +24,6 @@ from repro.core import CaseStudyParameters
 from repro.core.scenarios import CITY_PAIRS, DistributedScenario, SingleDataCenterScenario
 from repro.engine import (
     KrylovConvergenceError,
-    KrylovSettings,
     ReusableSolver,
     ScenarioBatchEngine,
     ScenarioGridOrchestrator,
@@ -33,6 +32,7 @@ from repro.engine import faults
 from repro.engine.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.engine.grid import load_checkpoint
 from repro.engine.parallel import leaked_segments
+from repro.markov import solvers
 
 TOLERANCE = 1e-12
 REDUCED = CaseStudyParameters(required_running_vms=1)
@@ -328,7 +328,7 @@ class TestKrylovConvergenceFailure:
         engine = ScenarioBatchEngine(distributed().build_model(REDUCED).build())
         graph = engine.graph()
         return (
-            ReusableSolver(engine.template(), KrylovSettings()),
+            ReusableSolver(engine.template()),
             np.asarray(graph.edge_rates, dtype=np.float64),
             graph,
         )
@@ -348,7 +348,7 @@ class TestKrylovConvergenceFailure:
             solver.solve_krylov(edge_rates, scenario_index=7)
         error = info.value
         assert error.scenario_index == 7
-        assert error.iterations == KrylovSettings().gmres_max_iterations
+        assert error.iterations == solvers.GMRES_MAX_ITERATIONS
         assert np.isfinite(error.residual_norm) and error.residual_norm > 0.0
         assert "scenario 7" in str(error)
 
@@ -357,18 +357,21 @@ class TestKrylovConvergenceFailure:
 
         solver, edge_rates, graph = self.solver_and_rates()
         self.stall_gmres(monkeypatch)
-        with pytest.warns(UserWarning, match="falling back to the direct solver"):
+        with pytest.warns(UserWarning) as record:
             probabilities = solver.solve(
                 edge_rates, lambda: generator_matrix(graph), scenario_index=3
             )
+        (warning,) = record
+        message = str(warning.message)
+        assert "scenario 3" in message
+        assert "true residual 1.000e+00" in message  # the stalled zero iterate
+        assert "falling back to the direct solver (complete LU)" in message
         assert solver.last_solve_used_fallback
         assert solver.last_convergence_error is not None
         assert solver.last_convergence_error.scenario_index == 3
         assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-        # The fallback vector is the direct solution, not a stalled iterate.
-        from repro.markov import solvers
-
-        expected = solvers.steady_state(generator_matrix(graph), method="auto")
+        # The fallback vector is the complete-LU solution, not a stalled iterate.
+        expected = solvers.steady_state(generator_matrix(graph), method="direct")
         np.testing.assert_allclose(probabilities, expected, atol=1e-12)
 
 

@@ -1,11 +1,13 @@
 """Tests for the stationary-distribution solvers."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import sparse
 
 from repro.exceptions import AnalysisError
-from repro.markov import steady_state, validate_generator
+from repro.markov import solvers, steady_state, validate_generator
 
 
 def two_state_generator(failure_rate=0.01, repair_rate=1.0):
@@ -100,3 +102,75 @@ class TestSteadyState:
         direct = steady_state(q, method="direct")
         iterative = steady_state(q, method="gauss_seidel", tolerance=1e-13)
         assert np.allclose(direct, iterative, atol=1e-8)
+
+
+@st.composite
+def stiff_generators(draw):
+    """Irreducible generators whose rates span six decades (1e-4 … 1e2).
+
+    Six decades cover the case study's repair/restart spread at one level
+    of the hierarchy.  Over nine decades, nearly decomposable chains lose
+    ~1e-10 to subtractive cancellation in the diagonal, which complete LU
+    uses and GTH avoids — that is why ``method="gth"`` stays available.
+    """
+    n = draw(st.integers(2, 12))
+    exponents = draw(st.lists(st.floats(-4.0, 2.0), min_size=n * n, max_size=n * n))
+    present = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    rates = (10.0 ** np.array(exponents)).reshape(n, n) * np.array(present).reshape(n, n)
+    ring = np.arange(n)
+    rates[ring, (ring + 1) % n] = 10.0 ** np.array(exponents[:n])  # irreducible
+    np.fill_diagonal(rates, 0.0)
+    return rates - np.diag(rates.sum(axis=1))
+
+
+def stall_gmres(monkeypatch):
+    def stalled(system, rhs, **kwargs):
+        return np.zeros(system.shape[0]), 1  # maxiter exhausted
+
+    monkeypatch.setattr(solvers.sparse_linalg, "gmres", stalled)
+
+
+class TestSolvePolicy:
+    @settings(max_examples=100, deadline=None)
+    @given(stiff_generators())
+    def test_complete_lu_matches_gth_on_stiff_generators(self, q):
+        pi_lu = steady_state(q, method="direct")
+        pi_gth = steady_state(q, method="gth")
+        assert np.abs(pi_lu - pi_gth).max() <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(stiff_generators())
+    def test_auto_matches_gth_on_stiff_generators(self, q):
+        pi_auto = steady_state(q, method="auto")
+        assert np.abs(pi_auto - steady_state(q, method="gth")).max() <= 1e-12
+
+    def test_auto_escalates_to_complete_lu_when_gmres_stalls(self, monkeypatch):
+        q = random_generator(40, seed=5)
+        expected = steady_state(q, method="direct")
+        stall_gmres(monkeypatch)
+        np.testing.assert_allclose(steady_state(q, method="auto"), expected, atol=1e-15)
+
+    def test_certify_accepts_the_stationary_vector(self):
+        q = sparse.csr_matrix(random_generator(30, seed=2))
+        system, _ = solvers.constrained_balance_system(q)
+        pi = steady_state(q, method="gth")
+        certified, residual = solvers.certify(pi, system.dot, solvers.balance_norm(system))
+        np.testing.assert_allclose(certified, pi, atol=1e-15)
+        assert residual <= solvers.RESIDUAL_BOUND
+
+    @pytest.mark.parametrize(
+        "candidate", [np.ones(30), np.zeros(30), np.full(30, np.nan)]
+    )
+    def test_certify_rejects_non_stationary_vectors(self, candidate):
+        q = sparse.csr_matrix(random_generator(30, seed=2))
+        system, _ = solvers.constrained_balance_system(q)
+        certified, residual = solvers.certify(
+            candidate, system.dot, solvers.balance_norm(system)
+        )
+        assert certified is None
+        assert not residual <= solvers.RESIDUAL_BOUND
+
+    def test_balance_norm_counts_the_last_state(self):
+        q = two_state_generator(failure_rate=0.01, repair_rate=3.0)
+        system, _ = solvers.constrained_balance_system(sparse.csr_matrix(q))
+        assert solvers.balance_norm(system) == pytest.approx(6.0)
