@@ -99,9 +99,8 @@ def run_grid(cases, *, workers, plan=None, shard_directory=None, resume=False):
     with tempfile.TemporaryDirectory(prefix="bench-chaos-") as scratch:
         orchestrator = ScenarioGridOrchestrator(
             cache=TRGCache(scratch),
-            jobs=workers if workers > 1 else None,
+            jobs=workers,
             backend="auto",
-            generation_workers=workers,
             retry=RETRY,
             shard_directory=shard_directory,
             shard_size=1,

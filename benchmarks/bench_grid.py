@@ -128,9 +128,8 @@ def orchestrated(cases, workers):
     with tempfile.TemporaryDirectory(prefix="bench-grid-") as scratch:
         orchestrator = ScenarioGridOrchestrator(
             cache=TRGCache(scratch),
-            jobs=workers if workers > 1 else None,
+            jobs=workers,
             backend="auto",
-            generation_workers=workers,
         )
         started = time.perf_counter()
         outcome = orchestrator.run(cases)
@@ -210,7 +209,6 @@ def run(quick: bool = False) -> int:
             }
             for group in outcome.groups
         ],
-        "pipelined": outcome.pipelined,
         "deduped_cases": outcome.deduped_cases,
         "speedup_target": {
             "required": SPEEDUP_FLOOR,

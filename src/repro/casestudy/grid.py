@@ -238,8 +238,6 @@ def evaluate_grid(
     symmetry_reduction: Optional[bool] = None,
     shard_directory: Optional[Path] = None,
     shard_size: Optional[int] = None,
-    generation_workers: Optional[int] = None,
-    pipeline: bool = True,
     dedupe: bool = True,
     memory_budget: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
@@ -252,8 +250,7 @@ def evaluate_grid(
     Results come back in scenario order; each row carries the availability
     measure plus per-group provenance (states, backend chosen, cache hit,
     solve seconds).  See :class:`repro.engine.grid.ScenarioGridOrchestrator`
-    for the phases, the ``pipeline`` work-stealing overlap, the
-    rate-identical-case ``dedupe``, the self-healing ``retry`` policy, the
+    for the generate→solve coordinator, the rate-identical-case ``dedupe``, the self-healing ``retry`` policy, the
     checkpoint ``resume`` mode and the ``log_callback`` progress hook.
     ``symmetry_reduction=None`` resolves to the library-wide default
     (:data:`repro.symmetry.DEFAULT_SYMMETRY_REDUCTION` — on); ``repro grid
@@ -284,9 +281,7 @@ def evaluate_grid(
         backend=backend,
         max_states=max_states,
         shard_directory=shard_directory,
-        generation_workers=generation_workers,
         **shard_kwargs,
-        pipeline=pipeline,
         dedupe=dedupe,
         memory_budget=memory_budget,
         retry=retry,

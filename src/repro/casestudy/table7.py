@@ -83,8 +83,6 @@ def _orchestrator(
         jobs=max_workers,
         backend=backend,
         method=method,
-        # An explicit worker budget bounds the generation fan-out too.
-        generation_workers=max_workers,
         **kwargs,
     )
 

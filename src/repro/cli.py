@@ -279,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         "plan, or @/path/to/plan.json; see repro.engine.faults",
     )
     grid.add_argument(
-        "--pipeline",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="overlap structure generation with solving (work-stealing "
-        "pipeline; --no-pipeline forces the two-phase barrier)",
-    )
-    grid.add_argument(
         "--dedupe",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -296,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="print live one-line pipeline progress to stderr",
+        help="print live one-line grid progress to stderr",
     )
     grid.add_argument(
         "--memory-budget", default=None, metavar="SIZE",
@@ -605,8 +598,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 use_cache=not arguments.no_cache,
                 symmetry_reduction=arguments.symmetry,
                 shard_directory=shard_directory,
-                generation_workers=arguments.jobs,
-                pipeline=arguments.pipeline,
                 dedupe=arguments.dedupe,
                 memory_budget=memory_budget,
                 retry=retry,

@@ -568,7 +568,7 @@ def estimate_tangible_states(net, max_states: int) -> int:
 
     A conservative multiset bound — distributing the initial tokens over
     the places — capped at the caller's exploration limit.  Exact counts
-    need generation (or the symbolic sizer); the planner only needs a
+    need generation; the planner only needs a
     figure that is large for nets that *can* blow up and small for nets
     that provably cannot.
     """
@@ -598,7 +598,7 @@ def plan_representation(
     :func:`repro.spn.kernel.estimate_state_bytes`) and compared against the
     resolved budget (:func:`memory_budget_bytes`).  ``expected_states``
     overrides the structural state-count proxy when the caller knows better
-    (a cached entry, a symbolic count).  ``forced`` bypasses the comparison
+    (a cached entry).  ``forced`` bypasses the comparison
     but still records the sizing in the plan.
     """
     from repro.spn.enabling import CompiledNet
@@ -647,6 +647,5 @@ def plan_representation(
         f"~{states} states need an estimated {chunked_bytes / 1e6:.1f} MB "
         f"even chunked, over the {budget / 1e6:.1f} MB budget; raise "
         f"--memory-budget/{MEMORY_BUDGET_ENVIRONMENT_VARIABLE}, lower "
-        f"max_states, enable symmetry reduction, or size the space first "
-        f"with the symbolic counter",
+        f"max_states, or enable symmetry reduction",
     )

@@ -378,7 +378,7 @@ class RetryPolicy:
         backoff_seconds: base sleep before the first retry.
         backoff_factor: multiplier applied per further retry.
         max_backoff_seconds: backoff ceiling.
-        generate_deadline_seconds: pipeline watchdog deadline for one
+        generate_deadline_seconds: grid watchdog deadline for one
             structure-graph generation task; ``None`` disables the watchdog.
         solve_deadline_seconds: deadline for one wave of process-pool solve
             chunks (see :class:`~repro.engine.parallel.SweepScheduler`);

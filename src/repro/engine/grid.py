@@ -12,12 +12,12 @@ workload:
   rates or the net name, plus the exploration limit and the canonicalizer
   identity); cases with equal fingerprints share one tangible reachability
   graph up to a re-rating and form one *structure group*;
-* the distinct graphs are obtained concurrently: :class:`~repro.engine.
-  cache.TRGCache` hits skip generation outright, and the misses are
-  generated in parallel on the persistent process pool of
+* one coordinator loop obtains the distinct graphs and solves them:
+  :class:`~repro.engine.cache.TRGCache` hits skip generation outright, the
+  misses are generated on the persistent process pool of
   :mod:`repro.engine.parallel` (each worker writes its graph into the cache,
-  which doubles as the zero-pickle transport back to the parent);
-* each group is then dispatched through a cost-aware
+  which doubles as the zero-pickle transport back to the parent), and each
+  group is dispatched the moment its graph lands through a cost-aware
   :class:`~repro.engine.batch.ScenarioBatchEngine` (re-rate + warm-started
   re-solves, measures in one GEMM, ``backend="auto"`` picking
   serial/thread/process per group);
@@ -289,9 +289,7 @@ class GridOutcome:
     ``results`` preserves the input case order; ``groups`` report the
     distinct structures in first-appearance order.  ``deduped_cases`` counts
     the grid rows that shared an earlier rate-identical row's stationary
-    vector instead of solving; ``pipelined`` records whether the
-    work-stealing generate→solve pipeline ran (``False`` on the barrier
-    path — ``pipeline=False``, a single group, or a single-worker budget).
+    vector instead of solving.
 
     A run that quarantined tasks is **partial**: the unsolvable cases are
     missing from ``results`` and accounted for — stage, attempt count,
@@ -314,7 +312,6 @@ class GridOutcome:
     total_seconds: float
     shard_paths: list[Path] = field(default_factory=list)
     deduped_cases: int = 0
-    pipelined: bool = False
     failures: list[FailureRecord] = field(default_factory=list)
     pool_rebuilds: int = 0
     watchdog_kills: int = 0
@@ -455,9 +452,9 @@ def read_manifest(directory: Path) -> Optional[dict]:
 class _ShardWriter:
     """Streams result records to fixed-size JSONL shards as groups finish.
 
-    Thread-safe: the pipelined orchestrator appends from concurrent group
-    solves (records always carry their original grid ``index``, so shard
-    order is group-completion order on every path).
+    Thread-safe: the orchestrator appends from concurrent group solves
+    (records always carry their original grid ``index``, so shard order is
+    group-completion order).
 
     The shard files double as the run's **checkpoint**: each shard is
     written to a temporary file and atomically renamed into place, so a
@@ -541,12 +538,12 @@ class ScenarioGridOrchestrator:
         method: stationary solver selection per group engine.
         max_states: tangible state-space limit of every generation (part of
             the grouping fingerprint).
-        jobs: worker budget of each group's batch dispatch (forwarded to
-            :meth:`ScenarioBatchEngine.run`).
+        jobs: worker budget of the run, split between pool generations and
+            group solves (a solve's share is forwarded to
+            :meth:`ScenarioBatchEngine.run`); defaults to the effective CPU
+            cores.  The generation pool is this wide, clamped to the number
+            of distinct structures that actually need generating.
         backend: batch backend per group (``"auto"`` is cost-aware).
-        generation_workers: process-pool width of the concurrent generation
-            phase; defaults to the effective CPU cores, clamped to the
-            number of distinct structures that actually need generating.
         shard_directory: when set, result rows are streamed to JSONL shards
             (``grid-shard-0000.jsonl``…) in group-completion order while the
             remaining groups are still solving; each record carries its
@@ -554,14 +551,6 @@ class ScenarioGridOrchestrator:
             exactly one grid's shards: any ``grid-shard-*.jsonl`` files from
             a previous run are removed when the run starts.
         shard_size: rows per shard file.
-        pipeline: run the work-stealing generate→solve pipeline (the
-            default): each structure group's solve is enqueued the moment
-            its graph lands, so small groups solve while big structures are
-            still in BFS.  The pipeline needs more than one structure group
-            and more than one worker in the budget (``jobs``, defaulting to
-            the effective cores) — otherwise, and with ``pipeline=False``,
-            the two-phase barrier path runs (generate everything, then solve
-            group by group in first-appearance order).
         dedupe: share stationary vectors across rate-identical cases of one
             group (one solve per distinct resolved rate vector; measures
             stay per-case).  Surfaced per group in
@@ -609,10 +598,8 @@ class ScenarioGridOrchestrator:
         max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
         jobs: Optional[int] = None,
         backend: str = "auto",
-        generation_workers: Optional[int] = None,
         shard_directory: Optional[Path] = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        pipeline: bool = True,
         dedupe: bool = True,
         memory_budget: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
@@ -627,10 +614,8 @@ class ScenarioGridOrchestrator:
         self.max_states = max_states
         self.jobs = jobs
         self.backend = backend
-        self.generation_workers = generation_workers
         self.shard_directory = shard_directory
         self.shard_size = shard_size
-        self.pipeline = pipeline
         self.dedupe = dedupe
         self.memory_budget = memory_budget
         self.retry = retry if retry is not None else RetryPolicy()
@@ -663,10 +648,10 @@ class ScenarioGridOrchestrator:
                 pass
 
     def _worker_budget(self) -> int:
-        """Total worker budget the pipeline splits between its stages.
+        """Total worker budget the coordinator splits between its stages.
 
         An explicit ``jobs`` is honoured as given (even above the effective
-        cores — useful for exercising the pipeline on small machines; the
+        cores — useful for exercising stage overlap on small machines; the
         per-batch engine still clamps its own workers); without it the
         budget is the effective core count.
         """
@@ -858,11 +843,13 @@ class ScenarioGridOrchestrator:
     ) -> bool:
         """In-process generation with the policy's remaining retries.
 
-        The last line of defence of both execution paths: runs the BFS in
-        the parent, retrying with backoff while the policy allows (but at
-        least once, even when pool attempts already consumed the retry
-        budget), and quarantines the group into ``failures`` when every
-        attempt failed.  Returns whether the group now holds a graph.
+        The grid's one in-process fallback — for a pool that cannot take
+        work, a generation that out-failed its pool retries, or a pool
+        result that does not load back: runs the BFS in the parent,
+        retrying with backoff while the policy allows (but at least once,
+        even when pool attempts already consumed the retry budget), and
+        quarantines the group into ``failures`` when every attempt failed.
+        Returns whether the group now holds a graph.
         """
         total = max(
             group.generate_attempts + 1, 1 + max(0, self.retry.max_retries)
@@ -893,132 +880,6 @@ class ScenarioGridOrchestrator:
             f"{group.generate_attempts} generation attempt(s): {error}"
         )
         return False
-
-    def _ensure_graphs(
-        self,
-        groups: dict[str, _Group],
-        transport: TRGCache,
-        started: float,
-        cases: Sequence[GridCase],
-        failures: list[FailureRecord],
-    ) -> None:
-        """Load every group's graph from cache or generate it (concurrently).
-
-        ``started`` is the run's ``perf_counter`` origin; every group's
-        ``generate_finished_at`` offset is stamped against it so the barrier
-        path reports the same timeline fields as the pipeline.  Groups whose
-        generation keeps failing past the retry policy are quarantined into
-        ``failures`` (their ``graph`` stays ``None``) instead of failing the
-        run.
-        """
-        misses: list[_Group] = []
-        for group in groups.values():
-            probe_started = time.perf_counter()
-            graph = self._load_graph(group, transport)
-            if graph is not None:
-                group.graph = graph
-                group.graph_source = "cache"
-                group.generate_seconds = time.perf_counter() - probe_started
-                group.generate_finished_at = time.perf_counter() - started
-            else:
-                misses.append(group)
-        if not misses:
-            return
-        requested = (
-            self.generation_workers
-            if self.generation_workers is not None
-            else dispatch.effective_cpu_count()
-        )
-        workers = max(1, min(int(requested), len(misses)))
-        if workers > 1:
-            self._generate_on_pool(misses, transport, workers)
-            finished_at = time.perf_counter() - started
-            for group in misses:
-                if group.graph is not None:
-                    group.generate_finished_at = finished_at
-        for group in misses:  # pool failures (or workers == 1) fall through
-            if group.graph is None:
-                self._generate_in_process_final(
-                    group, cases, transport, started, failures
-                )
-
-    def _generate_on_pool(
-        self, misses: list[_Group], transport: TRGCache, workers: int
-    ) -> None:
-        """Concurrent generation of all cache misses on the persistent pool.
-
-        Each worker stores its graph in ``transport`` (the configured cache
-        or the run's throwaway transport directory) and the parent loads it
-        back — graphs never travel through pickles.  Any failure —
-        unpicklable nets, a broken pool, a worker error — degrades to the
-        in-process path for the affected groups.
-        """
-        directory = str(transport.directory)
-        futures = {}
-        try:
-            width = min(workers, len(misses))
-            for group in misses:
-                group.generate_attempts += 1
-                futures[group.key] = shared_pool.submit(
-                    "generate",
-                    width,
-                    _generate_into_cache,
-                    group.representative.net,
-                    self.max_states,
-                    directory,
-                    group.representative.canonicalizer,
-                    group.cache_key,
-                    group.representation,
-                )
-        except (PicklingError, TypeError, AttributeError, OSError) as error:
-            # A mid-loop failure (fork exhaustion, an unpicklable net) must
-            # not leave already-queued generations running concurrently with
-            # the serial fallback — cancel what can be cancelled and drain
-            # the rest so nothing is generated twice.
-            for future in futures.values():
-                future.cancel()
-            for group in misses:
-                future = futures.get(group.key)
-                if future is None or future.cancelled():
-                    continue
-                try:
-                    seconds = future.result()
-                except Exception:  # noqa: BLE001 - best-effort drain
-                    continue
-                graph = self._load_graph(group, transport)
-                if graph is not None:
-                    group.graph = graph
-                    group.graph_source = "generated:pool"
-                    group.generate_seconds = seconds
-            warnings.warn(
-                f"concurrent grid generation unavailable ({error}); generating "
-                f"serially",
-                stacklevel=4,
-            )
-            return
-        broken = False
-        for group in misses:
-            try:
-                seconds = futures[group.key].result()
-            except BrokenProcessPool:
-                broken = True
-                continue
-            except Exception as error:  # noqa: BLE001 - isolate per group
-                warnings.warn(
-                    f"grid generation worker failed for group {group.key} "
-                    f"({error}); regenerating in-process",
-                    stacklevel=4,
-                )
-                continue
-            graph = self._load_graph(group, transport)
-            if graph is not None:
-                group.graph = graph
-                group.graph_source = "generated:pool"
-                group.generate_seconds = seconds
-        if broken and shared_pool.is_broken():
-            # Replace the dead pool now (and count the rebuild in the run's
-            # provenance); the affected groups regenerate in-process.
-            shared_pool.rebuild()
 
     def _generate_in_process(
         self, group: _Group, transport: TRGCache, persist: bool = True
@@ -1089,8 +950,6 @@ class ScenarioGridOrchestrator:
                 mapping[measure.name] = internal
             mappings.append(mapping)
         return merged, mappings
-
-    # --- run --------------------------------------------------------------
 
     # --- checkpoint/resume --------------------------------------------------
 
@@ -1202,15 +1061,7 @@ class ScenarioGridOrchestrator:
         transport: TRGCache,
         restored: dict[int, GridCaseResult],
     ) -> GridOutcome:
-        """Run all non-restored groups and assemble the outcome.
-
-        Dispatches to the pipeline or the two-phase barrier path.  The
-        pipeline only pays off when stages can actually overlap: it needs at
-        least two structure groups (one group has nothing to overlap with)
-        and a worker budget above one (a single worker would serialise the
-        stages anyway — that *is* the barrier, so degrading to it keeps
-        single-core runs deadlock-free by construction).
-        """
+        """Run all non-restored groups and assemble the outcome."""
         results: list[Optional[GridCaseResult]] = [None] * len(cases)
         for index, row in restored.items():
             results[index] = row
@@ -1225,18 +1076,9 @@ class ScenarioGridOrchestrator:
         self._interrupted = False
         self._plan_groups(groups, cases, failures)
         rebuilds_before = shared_pool.rebuilds
-        watchdog_kills = 0
-        if self.pipeline and len(groups) > 1 and self._worker_budget() > 1:
-            reports, watchdog_kills = self._run_pipeline(
-                cases, groups, started, transport, results, shards, failures
-            )
-            pipelined = True
-        else:
-            self._ensure_graphs(groups, transport, started, cases, failures)
-            reports = self._solve_groups(
-                cases, groups, started, results, shards, failures
-            )
-            pipelined = False
+        reports, watchdog_kills = self._run_pipeline(
+            cases, groups, started, transport, results, shards, failures
+        )
         if shards is not None:
             shards.flush()
             self._write_manifest(cases)
@@ -1247,7 +1089,6 @@ class ScenarioGridOrchestrator:
             total_seconds=time.perf_counter() - started,
             shard_paths=shards.paths if shards is not None else [],
             deduped_cases=sum(report.deduped_cases for report in reports),
-            pipelined=pipelined,
             failures=failures,
             pool_rebuilds=shared_pool.rebuilds - rebuilds_before,
             watchdog_kills=watchdog_kills,
@@ -1306,7 +1147,7 @@ class ScenarioGridOrchestrator:
         started: float,
         max_workers: Optional[int],
     ) -> tuple[list[tuple[int, GridCaseResult]], GridGroupReport]:
-        """Solve one structure group; shared by the barrier and the pipeline.
+        """Solve one structure group.
 
         Returns the group's result rows tagged with their original grid
         indices plus the filled-in :class:`GridGroupReport` (timeline
@@ -1481,8 +1322,8 @@ class ScenarioGridOrchestrator:
         Returns ``("ok", rows, report)`` or — after ``1 + max_retries``
         failed attempts — ``("failed", record, None)`` with the structured
         :class:`~repro.engine.faults.FailureRecord` of the quarantined
-        group.  Backoff sleeps happen in the calling thread, which on the
-        pipeline path is a solver-pool thread, not the coordinator.
+        group.  Backoff sleeps happen in the calling thread, a solver-pool
+        thread, not the coordinator.
         """
         total = 1 + max(0, self.retry.max_retries)
         last_error: Optional[BaseException] = None
@@ -1512,49 +1353,7 @@ class ScenarioGridOrchestrator:
         )
         return ("failed", record, None)
 
-    def _solve_groups(
-        self,
-        cases: list[GridCase],
-        groups: dict[str, _Group],
-        started: float,
-        results: list[Optional[GridCaseResult]],
-        shards: Optional[_ShardWriter],
-        failures: list[FailureRecord],
-    ) -> list[GridGroupReport]:
-        """Two-phase barrier path: graphs exist (or were quarantined); solve
-        group by group, quarantining groups that out-fail the retry policy.
-        """
-        reports: list[GridGroupReport] = []
-        done = 0
-        solvable = [group for group in groups.values() if group.graph is not None]
-        for group in solvable:
-            if self._cancelled():
-                self._interrupted = True
-                self._log(
-                    f"[grid] cancelled: {len(solvable) - done} group(s) "
-                    f"left undispatched"
-                )
-                break
-            status, payload, report = self._solve_group_with_retry(
-                group, cases, started, self.jobs
-            )
-            if status == "ok":
-                for case_index, row in payload:
-                    results[case_index] = row
-                    if shards is not None:
-                        shards.append(row.as_record(case_index))
-                reports.append(report)
-            else:
-                failures.append(payload)
-            done += 1
-            self._log(
-                f"[grid] {done}/{len(solvable)} groups done · 0 generating · "
-                f"0 solving · "
-                f"{sum(r.deduped_cases for r in reports)} dedupe hit(s)"
-            )
-        return reports
-
-    # --- work-stealing generate→solve pipeline -----------------------------
+    # --- the coordinator: work-stealing generate→solve pipeline ------------
 
     def _run_pipeline(
         self,
@@ -1568,8 +1367,9 @@ class ScenarioGridOrchestrator:
     ) -> tuple[list[GridGroupReport], int]:
         """Overlap structure-graph generation with per-group solving.
 
-        One coordinator loop owns two future sets over one worker budget
-        (:class:`~repro.engine.dispatch.PipelineBudget`):
+        The orchestrator's only executor, for any group count and any
+        worker budget: one coordinator loop owns two future sets over one
+        worker budget (:class:`~repro.engine.dispatch.PipelineBudget`):
 
         * *generation* tasks run on the persistent process pool
           (:data:`~repro.engine.parallel.shared_pool`, tagged
@@ -1582,15 +1382,21 @@ class ScenarioGridOrchestrator:
           lands — solves preempt idle workers instead of waiting for a
           generation barrier.
 
+        With a budget of one worker, at most one generation (on a
+        one-worker pool) and one solve run at a time.
+
         Failures self-heal, never deadlock: a failed generation requeues
-        with exponential backoff while the retry policy allows, then runs
-        in-process, then quarantines; a broken pool is rebuilt (within the
-        policy's restart budget — beyond it the remaining misses generate
-        in-process) while queued solves keep draining; a
-        :class:`~repro.engine.dispatch.TaskWatchdog` kills workers whose
-        generation exceeds ``generate_deadline_seconds``, so one hung
-        worker cannot stall the coordinator.  Returns the group reports and
-        the number of watchdog kills.
+        with exponential backoff while the retry policy allows; a broken
+        pool is rebuilt (within the policy's restart budget) while queued
+        solves keep draining; a :class:`~repro.engine.dispatch.TaskWatchdog`
+        kills workers whose generation exceeds
+        ``generate_deadline_seconds``, so one hung worker cannot stall the
+        coordinator.  Misses the pool cannot serve — retries exhausted, a
+        pool past its restart budget or refusing submissions, a pool result
+        that does not load back — go through the one in-process fallback,
+        :meth:`_generate_in_process_final`, which retries and finally
+        quarantines.  Returns the group reports and the number of watchdog
+        kills.
         """
         policy = self.retry
         order = list(groups.values())
@@ -1608,6 +1414,8 @@ class ScenarioGridOrchestrator:
 
         ready: deque[_Group] = deque()
         pending: deque[_Group] = deque()
+        #: Misses the pool cannot serve; generated in the parent.
+        local: deque[_Group] = deque()
         for group in order:
             probe_started = time.perf_counter()
             graph = self._load_graph(group, transport)
@@ -1626,12 +1434,7 @@ class ScenarioGridOrchestrator:
                 reverse=True,
             )
         )
-        requested_width = (
-            self.generation_workers
-            if self.generation_workers is not None
-            else budget.total
-        )
-        pool_width = max(1, min(int(requested_width), max(1, len(pending))))
+        pool_width = max(1, min(budget.total, len(pending)))
         directory = str(transport.directory)
         generate_futures: dict[object, _Group] = {}
         solve_futures: dict[object, _Group] = {}
@@ -1650,7 +1453,7 @@ class ScenarioGridOrchestrator:
         with ThreadPoolExecutor(
             max_workers=budget.total, thread_name_prefix="grid-solve"
         ) as solver:
-            while pending or ready or generate_futures or solve_futures:
+            while pending or local or ready or generate_futures or solve_futures:
                 if not cancelled and self._cancelled():
                     # Cooperative cancellation: stop dispatching, let the
                     # in-flight futures drain (finished solves are still
@@ -1658,6 +1461,7 @@ class ScenarioGridOrchestrator:
                     cancelled = True
                     self._interrupted = True
                     pending.clear()
+                    local.clear()
                     ready.clear()
                     for future in list(generate_futures):
                         if future.cancel():
@@ -1728,11 +1532,16 @@ class ScenarioGridOrchestrator:
                         break
                     watchdog.watch(future, "generate")
                     generate_futures[future] = group
-                if pool_broken and pending and not generate_futures:
+                if pool_broken:
+                    local.extend(pending)
+                    pending.clear()
+                if local and not generate_futures:
                     # In-process fallback generation, one group per loop
                     # iteration so finished solves are still harvested (and
-                    # new solves launched) between generations.
-                    group = pending.popleft()
+                    # new solves launched) between generations; it waits for
+                    # the pool's in-flight generations so the watchdog keeps
+                    # watching them.
+                    group = local.popleft()
                     if self._generate_in_process_final(
                         group, cases, transport, started, failures
                     ):
@@ -1851,25 +1660,21 @@ class ScenarioGridOrchestrator:
                             f"{group.key} ({error}); regenerating in-process",
                             stacklevel=2,
                         )
-                        if self._generate_in_process_final(
-                            group, cases, transport, started, failures
-                        ):
-                            ready.append(group)
-                        else:
-                            done_groups += 1
-                            progress()
+                        local.append(group)
                         continue
                     graph = self._load_graph(group, transport)
                     if graph is None:
                         # The worker reported success but the entry is not
                         # loadable (e.g. evicted) — regenerate in-process.
-                        self._generate_in_process(
-                            group, transport, persist=self.cache is not None
+                        self._log(
+                            f"[grid] group {group.key}: the pool's graph did "
+                            f"not load back; regenerating in-process"
                         )
-                    else:
-                        group.graph = graph
-                        group.graph_source = "generated:pool"
-                        group.generate_seconds = seconds
+                        local.append(group)
+                        continue
+                    group.graph = graph
+                    group.graph_source = "generated:pool"
+                    group.generate_seconds = seconds
                     group.generate_finished_at = time.perf_counter() - started
                     ready.append(group)
         reports = [

@@ -405,7 +405,6 @@ class AvailabilityService:
                 max_states=spec.max_states or DEFAULT_MAX_TANGIBLE_MARKINGS,
                 shard_directory=self.store.job_directory(job_id),
                 shard_size=self.config.shard_size,
-                pipeline=options.pipeline,
                 dedupe=options.dedupe,
                 retry=RetryPolicy(max_retries=options.max_retries),
                 resume=True,
@@ -501,7 +500,6 @@ class AvailabilityService:
             "cases": len(outcome.results),
             "restored_cases": outcome.restored_cases,
             "deduped_cases": outcome.deduped_cases,
-            "pipelined": outcome.pipelined,
             "interrupted": outcome.interrupted,
             "total_seconds": outcome.total_seconds,
             "pool_rebuilds": outcome.pool_rebuilds,

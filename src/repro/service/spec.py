@@ -238,7 +238,6 @@ class JobOptions:
 
     jobs: Optional[int] = None
     backend: str = "auto"
-    pipeline: bool = True
     dedupe: bool = True
     deadline_seconds: Optional[float] = None
     max_retries: int = 2
@@ -251,10 +250,12 @@ class JobOptions:
             return cls()
         _require(isinstance(payload, Mapping), "'options' must be a JSON object")
         allowed = {
-            "jobs", "backend", "pipeline", "dedupe", "deadline_seconds",
+            "jobs", "backend", "dedupe", "deadline_seconds",
             "max_retries", "job_retries", "metadata",
         }
-        unknown = sorted(set(map(str, payload)) - allowed)
+        # A legacy "pipeline" field is accepted and ignored: journals written
+        # while the grid had a barrier/pipeline switch store it in every job.
+        unknown = sorted(set(map(str, payload)) - allowed - {"pipeline"})
         _require(
             not unknown,
             f"'options' has unknown field(s) {unknown}; allowed: {sorted(allowed)}",
@@ -292,7 +293,6 @@ class JobOptions:
         return cls(
             jobs=jobs,
             backend=backend,
-            pipeline=bool(payload.get("pipeline", True)),
             dedupe=bool(payload.get("dedupe", True)),
             deadline_seconds=float(deadline) if deadline is not None else None,
             max_retries=max_retries,
@@ -304,7 +304,6 @@ class JobOptions:
         return {
             "jobs": self.jobs,
             "backend": self.backend,
-            "pipeline": self.pipeline,
             "dedupe": self.dedupe,
             "deadline_seconds": self.deadline_seconds,
             "max_retries": self.max_retries,

@@ -1114,8 +1114,7 @@ def _enriched_limit_error(
         f"across {waves_explored} BFS waves{projection_clause}. Options: raise "
         "max_states, enable symmetry_reduction, route the model to the "
         "disk-backed chunked backend (repro.statespace.chunked / "
-        "--memory-budget), or size it first with the symbolic counter "
-        "(repro.statespace.symbolic).",
+        "--memory-budget).",
         max_states=error.max_states,
         states_explored=states_explored,
         waves_explored=waves_explored,

@@ -268,8 +268,8 @@ class TestCacheAndShards:
                 SingleDataCenterScenario(machines=1, label="single-1", parameters=REDUCED)
             ),
         ]
-        pooled = ScenarioGridOrchestrator(generation_workers=2).run(cases)
-        serial = ScenarioGridOrchestrator(generation_workers=1).run(cases)
+        pooled = ScenarioGridOrchestrator(jobs=2).run(cases)
+        serial = ScenarioGridOrchestrator(jobs=1).run(cases)
         for a, b in zip(pooled.results, serial.results):
             assert a.measures == b.measures
 
@@ -366,7 +366,7 @@ class TestMultiDataCenterTopologies:
 
 
 class TestPipeline:
-    """Work-stealing generate→solve pipeline vs the two-phase barrier."""
+    """The generate→solve coordinator at two workers vs one worker."""
 
     def cases(self):
         return [
@@ -380,19 +380,18 @@ class TestPipeline:
             ),
         ]
 
-    def test_pipeline_matches_barrier_below_1e_12(self, tmp_path):
+    def test_two_workers_match_one_worker_below_1e_12(self, tmp_path):
         cases = self.cases()
         pipelined = ScenarioGridOrchestrator(
             jobs=2, shard_directory=tmp_path / "pipe"
         ).run(cases)
-        barrier = ScenarioGridOrchestrator(
-            pipeline=False, shard_directory=tmp_path / "barrier"
+        serial = ScenarioGridOrchestrator(
+            jobs=1, shard_directory=tmp_path / "serial"
         ).run(cases)
-        assert pipelined.pipelined and not barrier.pipelined
         assert [row.name for row in pipelined.results] == [
-            row.name for row in barrier.results
+            row.name for row in serial.results
         ]
-        for a, b in zip(pipelined.results, barrier.results):
+        for a, b in zip(pipelined.results, serial.results):
             for name, value in a.measures.items():
                 assert abs(value - b.measures[name]) < 1e-12
 
@@ -406,24 +405,30 @@ class TestPipeline:
             return records
 
         pipe_records = shard_records(pipelined)
-        barrier_records = shard_records(barrier)
-        assert set(pipe_records) == set(barrier_records) == set(range(len(cases)))
+        serial_records = shard_records(serial)
+        assert set(pipe_records) == set(serial_records) == set(range(len(cases)))
         for index in pipe_records:
-            assert pipe_records[index]["measures"] == barrier_records[index]["measures"]
-            assert pipe_records[index]["name"] == barrier_records[index]["name"]
+            assert pipe_records[index]["measures"] == serial_records[index]["measures"]
+            assert pipe_records[index]["name"] == serial_records[index]["name"]
 
-    def test_single_core_budget_degrades_to_barrier(self, monkeypatch):
+    def test_single_core_budget_completes(self, monkeypatch):
         monkeypatch.setattr(
             "repro.engine.dispatch.effective_cpu_count", lambda: 1
         )
-        outcome = ScenarioGridOrchestrator().run(self.cases()[:3])
-        assert not outcome.pipelined  # no deadlock, barrier path ran
-        assert len(outcome.results) == 3
-        assert all(row.measures for row in outcome.results)
+        cases = self.cases()[:3]
+        outcome = ScenarioGridOrchestrator().run(cases)  # no deadlock
+        assert not outcome.partial
+        assert [row.name for row in outcome.results] == [case.name for case in cases]
+        for case, row in zip(cases, outcome.results):
+            reference = (
+                ScenarioBatchEngine(case.net)
+                .solve(rates=case.full_rates())
+                .probability(case.measures[0].expression)
+            )
+            assert abs(reference - row.value("availability")) < 1e-12
 
     def test_forced_pipeline_records_timeline(self):
         outcome = ScenarioGridOrchestrator(jobs=2).run(self.cases()[:3])
-        assert outcome.pipelined
         for group in outcome.groups:
             assert group.solve_started_at >= 0.0
             assert group.generate_finished_at >= 0.0
@@ -440,8 +445,8 @@ class TestPipeline:
     def test_pipeline_reports_groups_in_first_appearance_order(self):
         cases = self.cases()
         pipelined = ScenarioGridOrchestrator(jobs=2).run(cases)
-        barrier = ScenarioGridOrchestrator(pipeline=False).run(cases)
-        assert [g.key for g in pipelined.groups] == [g.key for g in barrier.groups]
+        serial = ScenarioGridOrchestrator(jobs=1).run(cases)
+        assert [g.key for g in pipelined.groups] == [g.key for g in serial.groups]
 
     def test_progress_callback_receives_lines(self):
         lines = []
@@ -463,13 +468,9 @@ class TestPipeline:
         cases = self.cases()[:3]
         with pytest.warns(UserWarning, match="generating in-process"):
             outcome = ScenarioGridOrchestrator(jobs=2).run(cases)
-        assert outcome.pipelined
-        with pytest.warns(
-            UserWarning,
-            match=r"concurrent grid generation unavailable .*generating serially",
-        ):
-            barrier = ScenarioGridOrchestrator(pipeline=False).run(cases)
-        for a, b in zip(outcome.results, barrier.results):
+        monkeypatch.undo()
+        reference = ScenarioGridOrchestrator(jobs=2).run(cases)
+        for a, b in zip(outcome.results, reference.results):
             for name, value in a.measures.items():
                 assert abs(value - b.measures[name]) < 1e-12
         assert all(
@@ -499,7 +500,7 @@ class TestGridDedupe:
         ]
 
     def test_rate_identical_cases_solve_once(self):
-        outcome = ScenarioGridOrchestrator(pipeline=False).run(self.threshold_cases())
+        outcome = ScenarioGridOrchestrator(jobs=1).run(self.threshold_cases())
         assert len(outcome.groups) == 1
         assert outcome.deduped_cases == 2
         assert outcome.groups[0].deduped_cases == 2
@@ -507,14 +508,14 @@ class TestGridDedupe:
         assert sources == ["solved", "deduped", "deduped"]
 
     def test_deduped_measures_stay_per_case(self):
-        outcome = ScenarioGridOrchestrator(pipeline=False).run(self.threshold_cases())
+        outcome = ScenarioGridOrchestrator(jobs=1).run(self.threshold_cases())
         values = [row.value("availability") for row in outcome.results]
         assert values[0] > values[1] > values[2]  # stricter k, lower availability
 
     def test_dedupe_off_matches_dedupe_on(self):
         cases = self.threshold_cases()
-        on = ScenarioGridOrchestrator(pipeline=False).run(cases)
-        off = ScenarioGridOrchestrator(pipeline=False, dedupe=False).run(cases)
+        on = ScenarioGridOrchestrator(jobs=1).run(cases)
+        off = ScenarioGridOrchestrator(jobs=1, dedupe=False).run(cases)
         assert off.deduped_cases == 0
         assert all(row.solve_source == "solved" for row in off.results)
         for a, b in zip(on.results, off.results):
@@ -528,13 +529,12 @@ class TestGridDedupe:
             )
         ]
         outcome = ScenarioGridOrchestrator(jobs=2).run(cases)
-        assert outcome.pipelined
         assert outcome.deduped_cases == 1
         assert outcome.result("k2").solve_source == "deduped"
 
     def test_deduped_rows_survive_shards(self, tmp_path):
         outcome = ScenarioGridOrchestrator(
-            pipeline=False, shard_directory=tmp_path
+            jobs=1, shard_directory=tmp_path
         ).run(self.threshold_cases())
         records = []
         for path in outcome.shard_paths:

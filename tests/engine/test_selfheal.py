@@ -216,8 +216,32 @@ class TestQuarantine:
         assert_matches_reference(resumed, reference)
 
 
+class TestEvictedPoolEntry:
+    def test_failed_regeneration_of_an_unloadable_entry_is_retried(
+        self, reference, monkeypatch
+    ):
+        """A pool generation that reports success but whose cache entry
+        does not load back is regenerated in-process under the retry
+        policy: one injected failure there is retried, not raised."""
+        from repro.engine.cache import TRGCache
+
+        monkeypatch.setattr(TRGCache, "load", lambda self, *args, **kwargs: None)
+        plan = FaultPlan(
+            [FaultSpec(kind=faults.TASK_EXCEPTION, site="generate.inprocess", count=1)]
+        )
+        with faults.injected(plan):
+            outcome = ScenarioGridOrchestrator(jobs=2, retry=FAST_RETRY).run(
+                grid_cases()
+            )
+        assert plan.fired(faults.TASK_EXCEPTION) == 1
+        assert not outcome.partial
+        assert {group.graph_source for group in outcome.groups} == {"generated"}
+        assert_matches_reference(outcome, reference)
+
+
 class TestWatchdog:
-    def test_hung_generation_is_killed_and_redispatched(self, reference):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_hung_generation_is_killed_and_redispatched(self, reference, jobs):
         plan = FaultPlan(
             [FaultSpec(kind=faults.SLOW_TASK, site="generate", delay_seconds=30.0)]
         )
@@ -228,7 +252,9 @@ class TestWatchdog:
             generate_deadline_seconds=1.0,
         )
         with faults.injected(plan):
-            outcome = ScenarioGridOrchestrator(jobs=2, retry=policy).run(grid_cases())
+            outcome = ScenarioGridOrchestrator(jobs=jobs, retry=policy).run(
+                grid_cases()
+            )
         assert plan.fired(faults.SLOW_TASK) == 1
         assert outcome.watchdog_kills >= 1
         assert outcome.pool_rebuilds >= 1

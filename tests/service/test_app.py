@@ -7,6 +7,8 @@ import pytest
 from repro.engine import faults
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.service import AvailabilityService, ServiceConfig
+from repro.service.jobstore import JobRecord, JobStore
+from repro.service.spec import GridSpec, JobOptions
 
 TINY = {"cities": [["Rio de Janeiro"]], "machines": [1]}
 
@@ -326,6 +328,32 @@ class TestDrainAndRecovery:
                 message="interrupted job re-run",
             )
             assert revived.store.get(job_id).attempts == 2
+        finally:
+            revived.stop()
+
+
+    def test_journal_with_legacy_pipeline_option_replays(self, tmp_path):
+        # Journals written while the grid had a barrier/pipeline switch
+        # carry a "pipeline" field in every job's options.
+        spec = GridSpec.from_payload(TINY)
+        store = JobStore(tmp_path / "state")
+        store.create(
+            JobRecord(
+                id="job-0001-legacy0",
+                digest=spec.digest(),
+                spec=spec.as_payload(),
+                options={**JobOptions().as_payload(), "pipeline": False},
+            )
+        )
+        store.close()
+
+        revived = start_worker(make_service(tmp_path))
+        try:
+            wait_for(
+                lambda: revived.store.get("job-0001-legacy0").state == "done",
+                message="legacy job replayed to done",
+            )
+            assert revived.store.get("job-0001-legacy0").summary["cases"] == 1
         finally:
             revived.stop()
 

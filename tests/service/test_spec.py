@@ -113,12 +113,17 @@ class TestJobOptions:
     def test_defaults(self):
         options = JobOptions.from_payload(None)
         assert options.backend == "auto"
-        assert options.pipeline and options.dedupe
+        assert options.dedupe
         assert options.deadline_seconds is None
 
     def test_rejects_unknown_field(self):
         with pytest.raises(SpecError, match="unknown field"):
             JobOptions.from_payload({"dead_line": 3})
+
+    def test_legacy_pipeline_field_is_accepted_and_dropped(self):
+        options = JobOptions.from_payload({"jobs": 2, "pipeline": False})
+        assert options.jobs == 2
+        assert "pipeline" not in options.as_payload()
 
     def test_rejects_bad_deadline(self):
         with pytest.raises(SpecError, match="'deadline_seconds'"):

@@ -115,7 +115,7 @@ class TestPermutedParameterBlockDedupe:
 
     def test_permuted_blocks_one_fingerprint_one_solve(self):
         outcome = evaluate_grid(
-            self.scenarios(), parameters=TINY, use_cache=False, pipeline=False
+            self.scenarios(), parameters=TINY, use_cache=False, jobs=1
         )
         assert not outcome.partial
         first, second = outcome.results
@@ -139,7 +139,7 @@ class TestPermutedParameterBlockDedupe:
             self.scenarios(),
             parameters=TINY,
             use_cache=False,
-            pipeline=False,
+            jobs=1,
             symmetry_reduction=False,
         )
         assert not outcome.partial

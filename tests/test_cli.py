@@ -189,7 +189,7 @@ class TestGridCommand:
 
 
 class TestGridRobustnessFlags:
-    # --jobs 2 keeps the pipeline (and its pool generation) active on
+    # --jobs 2 keeps generation and solving overlapping even on
     # single-core CI machines; --no-cache keeps the fault sites reachable
     # on repeat runs.
     SMALL_GRID = [
